@@ -846,6 +846,101 @@ let record_plan c record_nodes =
   in
   (col_of_node, rec_nodes)
 
+(* Recording shared by both step cores: one sample of the recorded nodes
+   per accepted step, plus the optional rising-edge stop.  The stop test is
+   exactly [Waveform.crossings]' Rising predicate on the last two samples of
+   the stop column, so a stopped run's samples are the prefix of the
+   unstopped run up to and including the first crossing interval.  A run
+   that cannot stop early and knows its length ([exact_len], fixed step)
+   allocates its buffers once; otherwise they double on demand (amortized
+   O(1), no per-step allocation), capped at [exact_len] when known. *)
+type recorder = {
+  r_col_of_node : int array;
+  rec_nodes : int array;
+  max_len : int;
+  mutable r_times : float array;
+  mutable r_cols : float array array;
+  mutable r_len : int;
+  stop_col : int;  (* -1: no stop *)
+  stop_level : float;
+  mutable stop_step : int;  (* -1 until the stop fires *)
+}
+
+let make_recorder c ~record_nodes ~stop_at_rise ~exact_len =
+  let col_of_node, rec_nodes = record_plan c record_nodes in
+  let stop_col, stop_level =
+    match stop_at_rise with
+    | None -> (-1, 0.)
+    | Some (n, level) ->
+        if n < 0 || n >= c.n_nodes || col_of_node.(n) < 0 then
+          invalid_arg "Engine.Compiled.run: stop_at_rise node is not recorded";
+        (col_of_node.(n), level)
+  in
+  let max_len = Option.value exact_len ~default:max_int in
+  let cap = if stop_col < 0 && exact_len <> None then max_len else Int.min max_len 256 in
+  {
+    r_col_of_node = col_of_node;
+    rec_nodes;
+    max_len;
+    r_times = Array.make cap 0.;
+    r_cols = Array.map (fun _ -> Array.make cap 0.) rec_nodes;
+    r_len = 0;
+    stop_col;
+    stop_level;
+    stop_step = -1;
+  }
+
+let grow_recorder r =
+  let len = r.r_len in
+  let ncap = Int.min r.max_len (2 * len) in
+  let regrow a =
+    let na = Array.make ncap 0. in
+    Array.blit a 0 na 0 len;
+    na
+  in
+  r.r_times <- regrow r.r_times;
+  r.r_cols <- Array.map regrow r.r_cols
+
+let[@inline] record r t vnode =
+  let len = r.r_len in
+  if len = Array.length r.r_times then grow_recorder r;
+  r.r_times.(len) <- t;
+  let cols = r.r_cols in
+  for i = 0 to Array.length r.rec_nodes - 1 do
+    cols.(i).(len) <- vnode.(r.rec_nodes.(i))
+  done;
+  r.r_len <- len + 1;
+  if r.stop_col >= 0 && len > 0 then begin
+    let col = cols.(r.stop_col) in
+    if col.(len - 1) < r.stop_level && col.(len) >= r.stop_level then r.stop_step <- len
+  end
+
+let stopped r = r.stop_step >= 0
+
+(* Trimmed [(times, columns)] of everything recorded. *)
+let recorded r =
+  let len = r.r_len in
+  if len = Array.length r.r_times then (r.r_times, r.r_cols)
+  else (Array.sub r.r_times 0 len, Array.map (fun col -> Array.sub col 0 len) r.r_cols)
+
+(* Step-loop span args and counters common to both cores. *)
+let finish_step_loop obs r ~extra ~newton_total ~path step_t0 =
+  let n_steps = r.r_len - 1 in
+  let stopped_arg = if stopped r then string_of_int r.stop_step else "none" in
+  Obs.finish obs
+    ~args:
+      ((("steps", string_of_int n_steps) :: extra)
+      @ [
+          ("newton_total", string_of_int newton_total);
+          ("path", path);
+          ("stopped", stopped_arg);
+        ])
+    "engine.step_loop" step_t0;
+  Obs.incr obs "engine.transients";
+  Obs.add obs "engine.steps" n_steps;
+  Obs.add obs "engine.newton_iters" newton_total;
+  if stopped r then Obs.incr obs "engine.early_stops"
+
 (* ------------------------------------------------------------- adaptive *)
 
 type adaptive = { dt_min : float; dt_max : float; ltol : float }
@@ -889,9 +984,11 @@ let validate_adaptive (a : adaptive) =
   if a.dt_min <= 0. || a.dt_max < a.dt_min || a.ltol <= 0. then
     invalid_arg "Engine.transient: adaptive wants 0 < dt_min <= dt_max and ltol > 0"
 
-let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~rung_state
-    ~offcut_state =
+let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) ~c ~dc ~breakpoints
+    ~rung_state ~offcut_state =
   let t_stop = opts.t_stop in
+  (* The accepted-step count is data-dependent, so the recorder grows. *)
+  let rc = make_recorder c ~record_nodes ~stop_at_rise ~exact_len:None in
   let vnode = Obs.time obs "engine.dc_solve" dc in
   init_companions c vnode;
   let n_nodes = c.n_nodes in
@@ -906,33 +1003,7 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
     let l = List.filter (fun b -> b > 0. && b < t_stop) breakpoints in
     Array.of_list (l @ [ t_stop ])
   in
-  let col_of_node, rec_nodes = record_plan c record_nodes in
-  (* The accepted-step count is data-dependent, so the recorded waveforms
-     live in doubling arrays (amortized O(1), no per-step allocation). *)
-  let cap = ref 256 and len = ref 0 in
-  let gtimes = ref (Array.make 256 0.) in
-  let gcols = Array.map (fun _ -> ref (Array.make 256 0.)) rec_nodes in
-  let push t =
-    if !len = !cap then begin
-      let ncap = 2 * !cap in
-      let nt = Array.make ncap 0. in
-      Array.blit !gtimes 0 nt 0 !len;
-      gtimes := nt;
-      Array.iter
-        (fun r ->
-          let na = Array.make ncap 0. in
-          Array.blit !r 0 na 0 !len;
-          r := na)
-        gcols;
-      cap := ncap
-    end;
-    !gtimes.(!len) <- t;
-    for i = 0 to Array.length rec_nodes - 1 do
-      (!(gcols.(i))).(!len) <- vnode.(rec_nodes.(i))
-    done;
-    incr len
-  in
-  push 0.;
+  record rc 0. vnode;
   (* Predictor history: the last three accepted (t, vnode) samples, rotated
      by reference swap so the hot loop never allocates. *)
   let h0v = ref (Array.make n_nodes 0.)
@@ -990,7 +1061,7 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
   let n_bps = Array.length bps in
   let step_t0 = Obs.start obs in
   let dl_tick = ref 0 in
-  while !bpi < n_bps do
+  while !bpi < n_bps && not (stopped rc) do
     incr dl_tick;
     if !dl_tick land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
     let bp = bps.(!bpi) in
@@ -1031,7 +1102,7 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
         worst_newton := Int.max !worst_newton iters;
         commit_step c st opts vnode;
         t := t_new;
-        push t_new;
+        record rc t_new vnode;
         push_hist t_new;
         Obs.observe obs "engine.step_size_ns" (h_eff *. 1e9);
         if clamped then begin
@@ -1050,32 +1121,21 @@ let adaptive_core ~obs ~opts ~record_nodes (a : adaptive) ~c ~dc ~breakpoints ~r
           end
         end
   done;
-  let n_steps = !len - 1 in
-  let times_ = Array.sub !gtimes 0 !len in
-  let cols = Array.map (fun r -> Array.sub !r 0 !len) gcols in
+  let times_, cols = recorded rc in
   if Obs.enabled obs then begin
     let path =
       if Array.length c.nonlinears = 0 then "adaptive-linear" else "adaptive-newton"
     in
-    Obs.finish obs
-      ~args:
-        [
-          ("steps", string_of_int n_steps);
-          ("rejected", string_of_int !rejected);
-          ("refactors", string_of_int !refactors);
-          ("newton_total", string_of_int !total_newton);
-          ("path", path);
-        ]
-      "engine.step_loop" step_t0;
-    Obs.incr obs "engine.transients";
-    Obs.add obs "engine.steps" n_steps;
-    Obs.add obs "engine.newton_iters" !total_newton;
+    finish_step_loop obs rc
+      ~extra:
+        [ ("rejected", string_of_int !rejected); ("refactors", string_of_int !refactors) ]
+      ~newton_total:!total_newton ~path step_t0;
     Obs.add obs "engine.steps_rejected" !rejected;
     Obs.add obs "engine.refactors" !refactors
   end;
   {
     times_;
-    col_of_node;
+    col_of_node = rc.r_col_of_node;
     cols;
     total_newton = !total_newton;
     worst_newton = !worst_newton;
@@ -1088,7 +1148,7 @@ let transient_adaptive ~obs ~opts ~record_nodes (a : adaptive) netlist =
   if opts.t_stop <= 0. then invalid_arg "Engine.transient: t_stop must be positive";
   let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
   let rungs : (int, transient_state) Hashtbl.t = Hashtbl.create 8 in
-  adaptive_core ~obs ~opts ~record_nodes a ~c
+  adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise:None a ~c
     ~dc:(fun () -> dc_solve ~t:0. c opts)
     ~breakpoints:(Netlist.breakpoints netlist)
     ~rung_state:(fun k ->
@@ -1103,24 +1163,18 @@ let transient_adaptive ~obs ~opts ~record_nodes (a : adaptive) netlist =
 (* Fixed-step stepping shared by [transient] and [Compiled.run]; like
    [adaptive_core] it is parameterized over the DC solve and the solver
    state so the compiled-handle path can substitute cached ones. *)
-let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
+let fixed_core ~obs ~opts ~record_nodes ~stop_at_rise ~reassemble_per_step ~c ~dc ~state =
   let dt = opts.dt and t_stop = opts.t_stop in
   (* Tiny epsilon guards float-division noise (1e-9 / 10e-12 is slightly
      above 100) from adding a spurious extra step. *)
   let n_steps = Int.max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
+  let rc = make_recorder c ~record_nodes ~stop_at_rise ~exact_len:(Some (n_steps + 1)) in
   let vnode = Obs.time obs "engine.dc_solve" dc in
   init_companions c vnode;
-  let times_ = Array.init (n_steps + 1) (fun i -> dt *. float_of_int i) in
-  let col_of_node, rec_nodes = record_plan c record_nodes in
-  let cols = Array.map (fun _ -> Array.make (n_steps + 1) 0.) rec_nodes in
-  let record step =
-    for i = 0 to Array.length rec_nodes - 1 do
-      cols.(i).(step) <- vnode.(rec_nodes.(i))
-    done
-  in
-  record 0;
+  record rc 0. vnode;
   let st = Obs.time obs "engine.factor" state in
   let total_newton = ref 0 and worst_newton = ref 0 in
+  let step = ref 1 in
   let step_t0 = Obs.start obs in
   (match (st.linear_fact, reassemble_per_step) with
   | Some f, false ->
@@ -1131,9 +1185,10 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
       let n_forced = Array.length c.forced in
       let n_coupled = Array.length c.coupled in
       let has_isources = Array.length c.isources > 0 in
-      for step = 1 to n_steps do
-        if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
-        let t = times_.(step) in
+      while !step <= n_steps && not (stopped rc) do
+        let k = !step in
+        if k land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
+        let t = dt *. float_of_int k in
         for i = 0 to n_forced - 1 do
           let fs = c.forced.(i) in
           vnode.(fs.fnode) <- fs.fsrc t
@@ -1146,15 +1201,17 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
         factored_solve f st.rhs st.xsol;
         scatter_solution c vnode st.rhs;
         commit_step c st opts vnode;
-        record step
+        record rc t vnode;
+        step := k + 1
       done;
-      total_newton := n_steps;
+      total_newton := rc.r_len - 1;
       worst_newton := 1
   | _ ->
       let step_fn = if reassemble_per_step then rebuild_step else fast_step in
-      for step = 1 to n_steps do
-        if step land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
-        let t = times_.(step) in
+      while !step <= n_steps && not (stopped rc) do
+        let k = !step in
+        if k land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
+        let t = dt *. float_of_int k in
         update_forced c vnode t;
         (* Coupled-group history sources for this step (pre-step state),
            shared by assembly and commit. *)
@@ -1165,8 +1222,10 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
         total_newton := !total_newton + iters;
         worst_newton := Int.max !worst_newton iters;
         commit_step c st opts vnode;
-        record step
+        record rc t vnode;
+        step := k + 1
       done);
+  let times_, cols = recorded rc in
   if Obs.enabled obs then begin
     let path =
       match (st.linear_fact, reassemble_per_step) with
@@ -1174,21 +1233,11 @@ let fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c ~dc ~state =
       | None, false -> "newton-fast"
       | _, true -> "rebuild"
     in
-    Obs.finish obs
-      ~args:
-        [
-          ("steps", string_of_int n_steps);
-          ("newton_total", string_of_int !total_newton);
-          ("path", path);
-        ]
-      "engine.step_loop" step_t0;
-    Obs.incr obs "engine.transients";
-    Obs.add obs "engine.steps" n_steps;
-    Obs.add obs "engine.newton_iters" !total_newton
+    finish_step_loop obs rc ~extra:[] ~newton_total:!total_newton ~path step_t0
   end;
   {
     times_;
-    col_of_node;
+    col_of_node = rc.r_col_of_node;
     cols;
     total_newton = !total_newton;
     worst_newton = !worst_newton;
@@ -1208,7 +1257,7 @@ let transient ?(obs = Obs.null) ?options ?record_nodes ?(reassemble_per_step = f
       if opts.dt <= 0. || opts.t_stop <= 0. then
         invalid_arg "Engine.transient: dt and t_stop must be positive";
       let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
-      fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c
+      fixed_core ~obs ~opts ~record_nodes ~stop_at_rise:None ~reassemble_per_step ~c
         ~dc:(fun () -> dc_solve ~t:0. c opts)
         ~state:(fun () -> make_transient_state c opts)
 
@@ -1402,7 +1451,7 @@ module Compiled = struct
     end
 
   let run ?(obs = Obs.null) ?options ?record_nodes ?(reassemble_per_step = false) ?adaptive
-      ~dt ~t_stop h =
+      ?stop_at_rise ~dt ~t_stop h =
     let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
     match adaptive with
     | Some a ->
@@ -1410,14 +1459,15 @@ module Compiled = struct
           invalid_arg "Engine.transient: adaptive and reassemble_per_step are exclusive";
         validate_adaptive a;
         if opts.t_stop <= 0. then invalid_arg "Engine.transient: t_stop must be positive";
-        adaptive_core ~obs ~opts ~record_nodes a ~c:h.h_c ~dc:(dc_for h opts)
+        adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise a ~c:h.h_c ~dc:(dc_for h opts)
           ~breakpoints:(Netlist.breakpoints h.h_nl)
           ~rung_state:(fun k -> state_for h { opts with dt = ldexp a.dt_min k })
           ~offcut_state:(fun h_eff -> state_for h { opts with dt = h_eff })
     | None ->
         if opts.dt <= 0. || opts.t_stop <= 0. then
           invalid_arg "Engine.transient: dt and t_stop must be positive";
-        fixed_core ~obs ~opts ~record_nodes ~reassemble_per_step ~c:h.h_c ~dc:(dc_for h opts)
+        fixed_core ~obs ~opts ~record_nodes ~stop_at_rise ~reassemble_per_step ~c:h.h_c
+          ~dc:(dc_for h opts)
           ~state:(fun () -> fst (state_for h opts))
 
   (* Structure-keyed handle cache, domain-local so handles (whose scratch

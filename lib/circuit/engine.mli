@@ -72,8 +72,9 @@ val transient :
 
     [obs] (default disabled) records ["engine.compile"] /
     ["engine.dc_solve"] / ["engine.factor"] / ["engine.step_loop"] spans
-    (the step-loop span carries [steps], [newton_total], and the solver
-    [path] as args) plus ["engine.transients"] / ["engine.steps"] /
+    (the step-loop span carries [steps], [newton_total], the solver
+    [path] and [stopped] — always [none] here, see {!Compiled.run} — as
+    args) plus ["engine.transients"] / ["engine.steps"] /
     ["engine.newton_iters"] counters.  Only phase boundaries are
     instrumented — the per-step inner loops are untouched, so results and
     speed are identical when disabled.
@@ -166,6 +167,7 @@ module Compiled : sig
     ?record_nodes:Netlist.node list ->
     ?reassemble_per_step:bool ->
     ?adaptive:adaptive ->
+    ?stop_at_rise:Netlist.node * float ->
     dt:float ->
     t_stop:float ->
     handle ->
@@ -175,7 +177,23 @@ module Compiled : sig
       [(integration, step size)] (fixed-step states and adaptive
       rung/offcut states share the cache), and the DC operating point is
       reused whenever the circuit is linear and every source's value at
-      [t = 0] is bit-identical to the cached solve's. *)
+      [t = 0] is bit-identical to the cached solve's.
+
+      [stop_at_rise:(node, level)] ends the run right after the first
+      recorded step whose sample of [node] rises to [level] — the
+      {!Rlc_waveform.Waveform.crossings} [Rising] test, [prev < level &&
+      cur >= level], on consecutive samples — in fixed-step, Newton and
+      adaptive runs alike.  The result's times and waveforms are then
+      exactly the unstopped run's prefix up to that step, so its last
+      interval holds the node's first rising crossing of [level] (and every
+      first-crossing measurement at or below it reads the same bits); a
+      level that is never reached yields the unstopped result.  [node]
+      must be recorded (see [record_nodes]), else [Invalid_argument].
+      Stopped runs grow their buffers on demand rather than sizing them
+      for [t_stop]; [steps], [newton_total] and the [obs] counters count
+      only the steps executed.  With [obs], the step-loop span carries a
+      [stopped] arg (the stop step, or [none]) and each stopped run adds
+      one to ["engine.early_stops"]. *)
 
   val node_count : handle -> int
 

@@ -33,6 +33,7 @@ val default_segments : int
 val simulate :
   ?obs:Rlc_obs.Obs.t ->
   ?n_segments:int ->
+  ?stop_at_rise:float ->
   dt:float ->
   victim:member ->
   aggressors:(member * float) list ->
@@ -42,6 +43,17 @@ val simulate :
     run a fixed-step transient, and return the {e victim far-end} waveform
     on the caller's time axis (drives are internally shifted so the engine's
     DC point sees the quiescent state, then shifted back, as in
-    [replay_pwl]).  The stop time covers every drive's end plus ten flight
-    times of the slowest member.  Deterministic: a pure function of the
-    arguments, independent of worker scheduling. *)
+    [replay_pwl]).  The stop time is the last drive's end plus the larger
+    of 1 ns and ten flight times of the slowest member.
+
+    [stop_at_rise] (a level in volts) ends the transient right after the
+    first step where the victim's far end rises to it (see
+    {!Rlc_circuit.Engine.Compiled.run}): the returned waveform is then
+    exactly the full-length one's prefix through that crossing, so its
+    first rising crossing of the level — or of any lower level — is
+    bit-identical to the full run's, while nothing after it (the peak, the
+    settling tail, later crossings) is present.  A level that is never
+    reached returns the full-length waveform.
+
+    Deterministic: a pure function of the arguments, independent of worker
+    scheduling. *)

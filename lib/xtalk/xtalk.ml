@@ -210,9 +210,11 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
                             p.cc ))
                         survivors
                     in
+                    (* Only the first 50 % crossing is read, so the run
+                       stops right after it. *)
                     let far =
                       Cluster.simulate ~obs ~n_segments:config.Config.n_segments
-                        ~dt:config.Config.dt
+                        ~stop_at_rise:(0.5 *. vdd) ~dt:config.Config.dt
                         ~victim:(member_of ~drive:vm.Driver_model.pwl v)
                         ~aggressors:falling ()
                     in

@@ -81,11 +81,20 @@ type result = {
   stats : stats;
 }
 
+val offsets : span:float -> int -> float array
+(** The alignment grid: [n] aggressor start offsets evenly spaced over
+    [[-span, span]] ([[| 0. |]] when [n <= 1]).  Grids nest — the
+    [2n-1]-point grid contains every point of the [n]-point one — so the
+    worst coupled delay is monotone in [n]. *)
+
 val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
 (** Screen every ordered pair of the design's coupling graph, then simulate
     each victim that kept at least one aggressor: one cluster transient with
     the victim quiet for the noise peak, plus [alignments] transients with
     the victim switching and the aggressors opposing for the worst delay.
+    Only the first far-end 50 % crossing of an alignment transient is read,
+    so each one stops right after it ({!Cluster.simulate}'s
+    [stop_at_rise]); the noise transient runs its full window.
     Clusters are scheduled on the level-parallel domain pool ({!Config.t}
     [pool]/[jobs]); the flow's Ceff cache is not consulted or touched.
 

@@ -618,6 +618,108 @@ let test_compiled_coupled () =
 let test_compiled_nonlinear () =
   check_compiled_identity "nonlinear-clamp" build_nonlinear_clamp ~dt:1e-12 ~t_stop:0.5e-9 ()
 
+(* Early stop: a run with [~stop_at_rise:(node, level)] must be, bit for
+   bit, the unstopped run's prefix through the first rising crossing of
+   [level] at [node] — so every first-crossing measurement at that level
+   is unchanged — across circuit kinds, integrators and stepping modes.
+   Each handle runs full, stopped, full again, so a stopped run must also
+   leave the handle's cached state fit for reuse. *)
+let check_stop_prefix name build ~pick ~level ~dt ~t_stop () =
+  let module Obs = Rlc_obs.Obs in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (tag, integration) ->
+      List.iter
+        (fun (mode, adaptive) ->
+          let ctx = Printf.sprintf "%s/%s/%s" name tag mode in
+          let nl, probes = build () in
+          let node = pick probes in
+          let options = { (Engine.default_options ~dt ~t_stop) with Engine.integration } in
+          let h = Engine.Compiled.compile nl in
+          let run ?obs ?record_nodes ?stop_at_rise () =
+            Engine.Compiled.run ?obs ~options ?adaptive ?record_nodes ?stop_at_rise ~dt ~t_stop h
+          in
+          let full = run () in
+          let obs = Obs.create () in
+          let stopped = run ~obs ~stop_at_rise:(node, level) () in
+          let again = run () in
+          let tf = Engine.times full and ts = Engine.times stopped in
+          let n = Array.length ts in
+          if Engine.times again <> tf then Alcotest.failf "%s: rerun after a stop differs" ctx;
+          if n >= Array.length tf then
+            Alcotest.failf "%s: no early stop (%d of %d samples)" ctx n (Array.length tf);
+          if Array.sub tf 0 n <> ts then Alcotest.failf "%s: stopped times not a prefix" ctx;
+          List.iter
+            (fun p ->
+              let vf = Waveform.values (Engine.voltage full p) in
+              let vs = Waveform.values (Engine.voltage stopped p) in
+              Array.iteri
+                (fun i v ->
+                  if bits v <> bits vf.(i) then
+                    Alcotest.failf "%s: node %s step %d: stopped %.17g <> full %.17g" ctx
+                      (Netlist.node_name nl p) i v vf.(i))
+                vs)
+            probes;
+          (* The last interval holds the first crossing; the 50 %-style
+             measurement (vdd = 1, frac = level) reads the same bits. *)
+          let vs = Waveform.values (Engine.voltage stopped node) in
+          Alcotest.(check bool)
+            (ctx ^ ": last interval crosses") true
+            (vs.(n - 2) < level && vs.(n - 1) >= level);
+          let t_cross r =
+            Measure.t_frac (Engine.voltage r node) ~vdd:1. ~edge:Measure.Rising ~frac:level
+          in
+          (match (t_cross full, t_cross stopped) with
+          | Some a, Some b when bits a = bits b -> ()
+          | _ -> Alcotest.failf "%s: first crossing moved" ctx);
+          (* Counters count executed steps only. *)
+          let m = Obs.snapshot obs in
+          Alcotest.(check int) (ctx ^ ": steps") (n - 1) (Engine.steps stopped);
+          Alcotest.(check int) (ctx ^ ": steps counter") (n - 1) (Obs.counter m "engine.steps");
+          Alcotest.(check int)
+            (ctx ^ ": newton counter") (Engine.newton_total stopped)
+            (Obs.counter m "engine.newton_iters");
+          Alcotest.(check bool)
+            (ctx ^ ": fewer newton iterations") true
+            (Engine.newton_total stopped < Engine.newton_total full);
+          Alcotest.(check int) (ctx ^ ": early stop counted") 1 (Obs.counter m "engine.early_stops");
+          let loop = List.find (fun sp -> sp.Obs.sp_name = "engine.step_loop") m.Obs.m_spans in
+          Alcotest.(check string)
+            (ctx ^ ": stopped arg") (string_of_int (n - 1))
+            (List.assoc "stopped" loop.Obs.sp_args);
+          (* A level never reached leaves the run whole. *)
+          let whole = run ~stop_at_rise:(node, 10.) () in
+          if Engine.times whole <> tf then Alcotest.failf "%s: unreached level cut the run" ctx;
+          List.iter
+            (fun p ->
+              if
+                Waveform.values (Engine.voltage whole p) <> Waveform.values (Engine.voltage full p)
+              then Alcotest.failf "%s: unreached level changed node %s" ctx (Netlist.node_name nl p))
+            probes;
+          Alcotest.(check int) (ctx ^ ": unreached newton") (Engine.newton_total full)
+            (Engine.newton_total whole);
+          (* The stop node must be recorded. *)
+          let other = List.find (fun p -> p <> node) probes in
+          match run ~record_nodes:[ other ] ~stop_at_rise:(node, level) () with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s: unrecorded stop node accepted" ctx)
+        [ ("fixed", None); ("adaptive", Some (Engine.default_adaptive ~dt_min:dt ())) ])
+    [ ("trap", Engine.Trapezoidal); ("be", Engine.Backward_euler) ]
+
+let test_stop_rlc () =
+  check_stop_prefix "rlc-ladder" build_rlc_ladder ~pick:List.hd ~level:0.5 ~dt:0.5e-12
+    ~t_stop:0.5e-9 ()
+
+let test_stop_coupled () =
+  check_stop_prefix "coupled-pair" build_coupled_pair
+    ~pick:(fun probes -> List.nth probes 1)
+    ~level:0.5 ~dt:1e-12 ~t_stop:1e-9 ()
+
+let test_stop_nonlinear () =
+  check_stop_prefix "nonlinear-clamp" build_nonlinear_clamp
+    ~pick:(fun probes -> List.nth probes 1)
+    ~level:0.3 ~dt:1e-12 ~t_stop:0.5e-9 ()
+
 let build_rc_pair r c =
   let nl = Netlist.create () in
   let src = Netlist.node nl "src" and out = Netlist.node nl "out" in
@@ -735,6 +837,12 @@ let () =
             test_compiled_restamp;
           Alcotest.test_case "handle cache keys on structure" `Quick
             test_compiled_cache_keying;
+          Alcotest.test_case "RLC early stop is a prefix (trap/BE x fixed/adaptive)" `Quick
+            test_stop_rlc;
+          Alcotest.test_case "coupled early stop is a prefix (trap/BE x fixed/adaptive)" `Quick
+            test_stop_coupled;
+          Alcotest.test_case "nonlinear early stop is a prefix (trap/BE x fixed/adaptive)" `Quick
+            test_stop_nonlinear;
         ] );
       ( "netlist",
         [

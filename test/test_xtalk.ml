@@ -165,6 +165,100 @@ let test_pushout_sign () =
       | _ -> Alcotest.fail "coupled_delay and pushout must be present together")
     r.Xtalk.victims
 
+(* Oracle for the early-stopped alignment transients: rebuild every
+   simulated victim's clusters from the flow result and run them full
+   length.  The reported coupled delay must equal, bit for bit, the worst
+   50 % crossing over the alignment grid of the unstopped runs, and the
+   noise peak (a full-window run) must be unchanged.  A traced analysis
+   must also show every alignment transient — and only those — stopping
+   early. *)
+let test_stopped_sweep_matches_full () =
+  let module Cluster = Rlc_xtalk.Cluster in
+  let module Driver_model = Rlc_ceff.Driver_model in
+  let module Measure = Rlc_waveform.Measure in
+  let module Pwl = Rlc_waveform.Pwl in
+  let module Waveform = Rlc_waveform.Waveform in
+  let module Obs = Rlc_obs.Obs in
+  let fl = Lazy.force flow in
+  let d = fl.Flow.design in
+  let r = Lazy.force analyzed in
+  let cfg = Xtalk.Config.default in
+  let vdd = r.Xtalk.vdd in
+  let solve id = fl.Flow.results.(id).Flow.solve in
+  let model id = (solve id).Flow.model in
+  let member ?drive id =
+    let net = d.Design.nets.(id) in
+    { Cluster.line = net.Design.eq_line; drive; rs = (model id).Driver_model.rs; cl = net.Design.cl }
+  in
+  let sim victim aggressors =
+    Cluster.simulate ~n_segments:cfg.Xtalk.Config.n_segments ~dt:cfg.Xtalk.Config.dt ~victim
+      ~aggressors ()
+  in
+  let bits = Int64.bits_of_float in
+  let checked = ref 0 in
+  Array.iter
+    (fun (v : Xtalk.victim_result) ->
+      if v.Xtalk.simulated then begin
+        incr checked;
+        let id = v.Xtalk.victim in
+        let survivors = List.filter (fun (p : Xtalk.pair) -> not p.Xtalk.screened) v.Xtalk.pairs in
+        let noise =
+          Waveform.v_max
+            (sim (member id)
+               (List.map
+                  (fun (p : Xtalk.pair) ->
+                    (member ~drive:(model p.Xtalk.aggressor).Driver_model.pwl p.Xtalk.aggressor, p.Xtalk.cc))
+                  survivors))
+        in
+        let span =
+          List.fold_left
+            (fun acc (p : Xtalk.pair) ->
+              Float.max acc (Driver_model.transition_end (model p.Xtalk.aggressor)))
+            ((solve id).Flow.stage_delay +. (solve id).Flow.far_slew)
+            survivors
+        in
+        let worst =
+          Array.fold_left
+            (fun acc off ->
+              let falling =
+                List.map
+                  (fun (p : Xtalk.pair) ->
+                    let m = model p.Xtalk.aggressor in
+                    ( member
+                        ~drive:
+                          (Pwl.shift_time off
+                             (Pwl.falling ~vdd:m.Driver_model.vdd m.Driver_model.pwl))
+                        p.Xtalk.aggressor,
+                      p.Xtalk.cc ))
+                  survivors
+              in
+              let far = sim (member ~drive:(model id).Driver_model.pwl id) falling in
+              Float.max acc (Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5))
+            Float.neg_infinity
+            (Xtalk.offsets ~span cfg.Xtalk.Config.alignments)
+        in
+        let name = d.Design.nets.(id).Design.name in
+        (match v.Xtalk.coupled_delay with
+        | Some c when bits c = bits worst -> ()
+        | c ->
+            Alcotest.failf "%s: coupled delay %s vs full-length sweep %.17g" name
+              (Option.fold ~none:"none" ~some:(Printf.sprintf "%.17g") c)
+              worst);
+        match v.Xtalk.noise_sim with
+        | Some n when bits n = bits noise -> ()
+        | _ -> Alcotest.failf "%s: noise peak differs from a full-window run" name
+      end)
+    r.Xtalk.victims;
+  Alcotest.(check bool) "victims simulated" true (!checked > 0);
+  let obs = Obs.create () in
+  let traced = Xtalk.analyze ~config:{ cfg with Xtalk.Config.obs } fl in
+  Alcotest.(check string) "traced fragment unchanged" (Xtalk.json_fragment d r)
+    (Xtalk.json_fragment d traced);
+  let m = Obs.snapshot obs in
+  Alcotest.(check int) "every alignment transient stops early"
+    traced.Xtalk.stats.Xtalk.n_alignment_sims
+    (Obs.counter m "engine.early_stops")
+
 (* ------------------------------------------------------------ gating *)
 
 let test_violation_budget () =
@@ -300,6 +394,8 @@ let () =
         [
           Alcotest.test_case "alignment monotone" `Slow test_alignment_monotone;
           Alcotest.test_case "push-out sign" `Slow test_pushout_sign;
+          Alcotest.test_case "stopped sweep = full-length oracle" `Slow
+            test_stopped_sweep_matches_full;
         ] );
       ( "gating", [ Alcotest.test_case "budget" `Slow test_violation_budget ] );
       ( "determinism",

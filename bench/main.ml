@@ -629,16 +629,17 @@ let flow_bench () =
 
 (* -------------------------------------------------------------- engine *)
 
-(* Perf trajectory for the factor-once transient engine.  Three comparators
+(* Perf trajectory for the factor-once transient engine.  Two comparators
    per circuit:
-     fast   - current engine (assemble + factor once, per-step RHS rebuild)
-     naive  - current engine forced to reassemble and refactor every step
-     pre_pr - the seed engine and banded solver, vendored verbatim in
-              bench/pre_pr_engine.ml, i.e. the true pre-PR baseline
-   plus the LTE-adaptive stepper against fixed-step on the same circuits and
-   on the subsampled sweep, the per-step Banded stage costs, and the
-   fig7-fast sweep wall time at jobs 1 vs N (clamped to the core count).
-   `--json PATH` writes the numbers as BENCH_engine.json. *)
+     fast     - fixed-step transient (assemble + factor once, per-step RHS
+                rebuild), with its compile / factor / step-loop stage split
+     adaptive - the LTE-adaptive stepper on the same circuit, dt_min pinned
+                to the fixed dt
+   plus adaptive against fixed-step on the subsampled sweep, the Banded
+   factor and per-step solve costs, and the fig7-fast sweep wall time at
+   jobs 1 vs N (clamped to the core count).  Step, Newton, refactor and
+   rejection counts are deterministic; CI pins them.  `--json PATH` writes
+   the numbers as BENCH_engine.json. *)
 
 module Netlist = Rlc_circuit.Netlist
 module Engine = Rlc_circuit.Engine
@@ -718,20 +719,10 @@ let best_of ?(n = 3) measure =
   done;
   !best
 
-let max_dv wa wb =
-  let va = Waveform.values wa and vb = Waveform.values wb in
-  let m = ref 0. in
-  Array.iteri (fun i v -> m := Float.max !m (Float.abs (v -. vb.(i)))) va;
-  !m
-
 type engine_row = {
   er_name : string;
   er_steps : int;
   er_fast_ns : float;
-  er_naive_ns : float;
-  er_pre_pr_ns : float;
-  er_dv_naive : float;
-  er_dv_pre_pr : float;
   (* Stage metrics from one instrumented run (Rlc_obs sink): where a single
      transient spends its time, and how much Newton work it does. *)
   er_compile_s : float;
@@ -754,7 +745,7 @@ type adaptive_row = {
 }
 
 let engine_bench ?(jobs = 1) ?(smoke = false) ?json () =
-  header "Engine: factor-once transient vs per-step reassembly vs pre-PR seed engine";
+  header "Engine: factor-once fixed-step transient vs LTE-adaptive stepping";
   let target = if smoke then 0.05 else 0.3 in
   (* Five rounds per comparator in full mode: run-to-run variance on shared
      hosts is large and the min-estimator needs the extra draws to settle. *)
@@ -766,11 +757,10 @@ let engine_bench ?(jobs = 1) ?(smoke = false) ?json () =
       ("rlc_ladder100_2000steps", rlc_ladder ~n:100 (), 0.5e-12, 1e-9);
     ]
   in
-  Format.printf "@.%-26s %6s %12s %12s %12s %8s %8s %11s@." "circuit" "steps" "fast ns/run"
-    "naive ns/run" "prePR ns/run" "vs naive" "vs prePR" "steps/s";
+  Format.printf "@.%-26s %6s %12s %11s@." "circuit" "steps" "fast ns/run" "steps/s";
   let rows =
     List.map
-      (fun (name, (nl, probe), dt, t_stop) ->
+      (fun (name, (nl, _), dt, t_stop) ->
         let fast = Engine.transient ~dt ~t_stop nl in
         (* One instrumented run per circuit: the Rlc_obs spans split the wall
            time into compile / factor / step-loop, and the counters give the
@@ -784,28 +774,13 @@ let engine_bench ?(jobs = 1) ?(smoke = false) ?json () =
         let factor_s = span "engine.factor" in
         let step_loop_s = span "engine.step_loop" in
         let newton_iters = Rlc_obs.Obs.counter stage_m "engine.newton_iters" in
-        let naive = Engine.transient ~reassemble_per_step:true ~dt ~t_stop nl in
-        let pre = Pre_pr_engine.transient ~dt ~t_stop nl in
-        let dv_naive = max_dv (Engine.voltage fast probe) (Engine.voltage naive probe) in
-        let dv_pre = max_dv (Engine.voltage fast probe) (Pre_pr_engine.voltage pre probe) in
         let t_fast =
           best_of ~n:rounds (fun () ->
               time_per_run ~target (fun () -> ignore (Engine.transient ~dt ~t_stop nl)))
         in
-        let t_naive =
-          best_of ~n:rounds (fun () ->
-              time_per_run ~target (fun () ->
-                  ignore (Engine.transient ~reassemble_per_step:true ~dt ~t_stop nl)))
-        in
-        let t_pre =
-          best_of ~n:rounds (fun () ->
-              time_per_run ~target (fun () -> ignore (Pre_pr_engine.transient ~dt ~t_stop nl)))
-        in
         let steps = Engine.steps fast in
-        Format.printf "%-26s %6d %12.0f %12.0f %12.0f %7.2fx %7.2fx %11.0f@." name steps
-          (1e9 *. t_fast) (1e9 *. t_naive) (1e9 *. t_pre) (t_naive /. t_fast) (t_pre /. t_fast)
+        Format.printf "%-26s %6d %12.0f %11.0f@." name steps (1e9 *. t_fast)
           (float_of_int steps /. t_fast);
-        Format.printf "%-26s max |dv| vs naive %.3e V, vs prePR %.3e V@." "" dv_naive dv_pre;
         Format.printf
           "%-26s stages: compile %.0f us, factor %.0f us, step loop %.0f us (%d Newton iters)@."
           "" (1e6 *. compile_s) (1e6 *. factor_s) (1e6 *. step_loop_s) newton_iters;
@@ -813,10 +788,6 @@ let engine_bench ?(jobs = 1) ?(smoke = false) ?json () =
           er_name = name;
           er_steps = steps;
           er_fast_ns = 1e9 *. t_fast;
-          er_naive_ns = 1e9 *. t_naive;
-          er_pre_pr_ns = 1e9 *. t_pre;
-          er_dv_naive = dv_naive;
-          er_dv_pre_pr = dv_pre;
           er_compile_s = compile_s;
           er_factor_s = factor_s;
           er_step_loop_s = step_loop_s;
@@ -882,21 +853,15 @@ let engine_bench ?(jobs = 1) ?(smoke = false) ?json () =
       circuits rows
   in
 
-  (* Per-step linear-stage costs in isolation.  The new engine pays blit +
-     solve_factored per step; the seed engine re-factored from scratch (the
-     copy below stands in for its per-step re-stamp). *)
+  (* Linear-stage costs in isolation: the factorization a linear transient
+     pays once per (integration, dt), and the factored solve it pays per
+     step. *)
   let bn = 200 and bbw = 2 in
   let master = Rlc_num.Banded.create ~n:bn ~bw:bbw in
-  let master_pre = Pre_pr_banded.create ~n:bn ~bw:bbw in
   for i = 0 to bn - 1 do
     Rlc_num.Banded.set master i i 4.;
-    Pre_pr_banded.set master_pre i i 4.;
-    if i > 0 then (
-      Rlc_num.Banded.set master i (i - 1) (-1.);
-      Pre_pr_banded.set master_pre i (i - 1) (-1.));
-    if i < bn - 1 then (
-      Rlc_num.Banded.set master i (i + 1) (-1.);
-      Pre_pr_banded.set master_pre i (i + 1) (-1.))
+    if i > 0 then Rlc_num.Banded.set master i (i - 1) (-1.);
+    if i < bn - 1 then Rlc_num.Banded.set master i (i + 1) (-1.)
   done;
   let rhs = Array.make bn 1. in
   let scratch = Rlc_num.Banded.copy master in
@@ -913,15 +878,8 @@ let engine_bench ?(jobs = 1) ?(smoke = false) ?json () =
         Array.blit rhs 0 b 0 bn;
         Rlc_num.Banded.solve_factored factored b)
   in
-  let t_pre_solve =
-    time_per_run ~target (fun () ->
-        Array.blit rhs 0 b 0 bn;
-        Pre_pr_banded.solve_in_place (Pre_pr_banded.copy master_pre) b)
-  in
-  Format.printf
-    "@.banded stages (n=%d, bw=%d): factor %.0f ns; per-step solve_factored %.0f ns; pre-PR \
-     per-step copy+solve_in_place %.0f ns (%.1fx)@."
-    bn bbw (1e9 *. t_factor) (1e9 *. t_solve) (1e9 *. t_pre_solve) (t_pre_solve /. t_solve);
+  Format.printf "@.banded stages (n=%d, bw=%d): factor %.0f ns; per-step solve_factored %.0f ns@."
+    bn bbw (1e9 *. t_factor) (1e9 *. t_solve);
 
   (* Sweep scaling on the fig7-fast grid.  Pre-warm the (mutex-shared) cell
      characterization memo so both wall times measure the solves. *)
@@ -994,22 +952,17 @@ let engine_bench ?(jobs = 1) ?(smoke = false) ?json () =
         if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
         else Printf.sprintf "%.6g" v
       in
-      Printf.bprintf buf "{\n  \"schema\": \"rlc-bench-engine/1\",\n";
+      Printf.bprintf buf "{\n  \"schema\": \"rlc-bench-engine/2\",\n";
       Printf.bprintf buf "  \"smoke\": %b,\n" smoke;
       Printf.bprintf buf "  \"circuits\": [\n";
       List.iteri
         (fun i r ->
           Printf.bprintf buf
             "    {\"name\": \"%s\", \"steps\": %d, \"fast_ns_per_run\": %s, \
-             \"naive_ns_per_run\": %s, \"pre_pr_ns_per_run\": %s, \"speedup_vs_naive\": %s, \
-             \"speedup_vs_pre_pr\": %s, \"steps_per_sec_fast\": %s, \"max_dv_vs_naive_V\": %s, \
-             \"max_dv_vs_pre_pr_V\": %s, \"stages\": {\"compile_us\": %s, \"factor_us\": %s, \
+             \"steps_per_sec_fast\": %s, \"stages\": {\"compile_us\": %s, \"factor_us\": %s, \
              \"step_loop_us\": %s, \"newton_iters\": %d}}%s\n"
-            r.er_name r.er_steps (fl r.er_fast_ns) (fl r.er_naive_ns) (fl r.er_pre_pr_ns)
-            (fl (r.er_naive_ns /. r.er_fast_ns))
-            (fl (r.er_pre_pr_ns /. r.er_fast_ns))
+            r.er_name r.er_steps (fl r.er_fast_ns)
             (fl (float_of_int r.er_steps /. (r.er_fast_ns *. 1e-9)))
-            (fl r.er_dv_naive) (fl r.er_dv_pre_pr)
             (fl (1e6 *. r.er_compile_s))
             (fl (1e6 *. r.er_factor_s))
             (fl (1e6 *. r.er_step_loop_s))
@@ -1047,8 +1000,8 @@ let engine_bench ?(jobs = 1) ?(smoke = false) ?json () =
         (fl (100. *. max_ref_dev));
       Printf.bprintf buf
         "  \"banded_stages\": {\"n\": %d, \"bw\": %d, \"factor_ns\": %s, \"solve_factored_ns\": \
-         %s, \"pre_pr_copy_solve_ns\": %s},\n"
-        bn bbw (fl (1e9 *. t_factor)) (fl (1e9 *. t_solve)) (fl (1e9 *. t_pre_solve));
+         %s},\n"
+        bn bbw (fl (1e9 *. t_factor)) (fl (1e9 *. t_solve));
       Printf.bprintf buf
         "  \"sweep\": {\"cases\": %d, \"inductive\": %d, \"jobs\": %d, \"jobs_requested\": %d, \
          \"recommended_domains\": %d, \"wall_s_jobs1\": %s, \"wall_s_jobsN\": %s, \"speedup\": \

@@ -232,20 +232,6 @@ let ind_g integration dt (cc : companion) =
   | Trapezoidal -> dt /. (2. *. cc.value)
   | Backward_euler -> dt /. cc.value
 
-(* History current (flowing n1 -> n2 through the companion source) for the
-   current step, given the element's per-transient conductance. *)
-let cap_ieq integration g (cc : companion) =
-  let h = cc.hist in
-  match integration with
-  | Trapezoidal -> -.((g *. h.v_prev) +. h.i_prev)
-  | Backward_euler -> -.(g *. h.v_prev)
-
-let ind_ieq integration g (cc : companion) =
-  let h = cc.hist in
-  match integration with
-  | Trapezoidal -> h.i_prev +. (g *. h.v_prev)
-  | Backward_euler -> h.i_prev
-
 (* Stamp conductance [g] and constant element current [j] (flowing n1 -> n2)
    into system/rhs given the full node-voltage vector for known nodes. *)
 let stamp c sys rhs vnode n1 n2 g j =
@@ -301,37 +287,11 @@ let coupled_ieq_into (k : coupled_state) integration g ieq =
           !acc)
   done
 
-(* Stamp a coupled group: branch p carries
+(* A coupled group's branch p carries
    i_p = sum_q g.(p).(q) (v(aq) - v(bq)) + ieq.(p), flowing from the first
-   to the second node of branch p. *)
-let stamp_coupled c sys rhs vnode (k : coupled_state) g ieq =
-  let nb = Array.length k.k_branches in
-  for p = 0 to nb - 1 do
-    let ap, bp = k.k_branches.(p) in
-    let row node row_sign =
-      let u = c.unknown_of_node.(node) in
-      if u >= 0 then begin
-        for q = 0 to nb - 1 do
-          let aq, bq = k.k_branches.(q) in
-          let add col col_sign =
-            let coeff = row_sign *. col_sign *. g.(p).(q) in
-            if coeff <> 0. then begin
-              let uc = c.unknown_of_node.(col) in
-              if uc >= 0 then sys_add sys u uc coeff
-              else rhs.(u) <- rhs.(u) -. (coeff *. vnode.(col))
-            end
-          in
-          add aq 1.;
-          add bq (-1.)
-        done;
-        rhs.(u) <- rhs.(u) -. (row_sign *. ieq.(p))
-      end
-    in
-    row ap 1.;
-    row bp (-1.)
-  done
-
-(* Matrix/rhs split of [stamp_coupled], same contribution order. *)
+   to the second node of branch p.  Its stamp is split into a matrix half
+   and a right-hand-side half; together they add the same contributions in
+   the same order as a single per-step stamp would. *)
 let stamp_coupled_mat c sys (k : coupled_state) g =
   let nb = Array.length k.k_branches in
   for p = 0 to nb - 1 do
@@ -405,9 +365,9 @@ let update_forced c vnode t =
     vnode.(fs.fnode) <- fs.fsrc t
   done
 
-(* Newton loop on top of a base (linear part) assembly function — the
-   rebuild-everything path, used for the DC operating point (once per
-   transient) and as the [reassemble_per_step] reference stepper. *)
+(* Newton loop on top of a base (linear part) assembly function that
+   rebuilds the whole system per iteration.  Only the DC operating point
+   (once per transient) runs it; the step loops use [fast_step]. *)
 let newton ~opts ~c ~assemble_base ~vnode ~t =
   if Array.length c.nonlinears = 0 && c.n_unknown > 0 then begin
     let sys, rhs = assemble_base () in
@@ -511,8 +471,8 @@ let make_transient_state c opts =
   let ieq_k = Array.map (fun (k : coupled_state) -> Array.make (Array.length k.k_branches) 0.) c.coupled in
   let vnew_k = Array.map (fun (k : coupled_state) -> Array.make (Array.length k.k_branches) 0.) c.coupled in
   let base = sys_create ~n:c.n_unknown ~bw:c.bandwidth in
-  (* Assembly order mirrors the rebuild path: resistors, caps, inductors,
-     coupled groups (current sources carry no conductance). *)
+  (* Assembly order is that of a per-step reassembly: resistors, caps,
+     inductors, coupled groups (current sources carry no conductance). *)
   Array.iter (fun (r : resistor) -> stamp_mat c base r.rn1 r.rn2 r.rg) c.resistors;
   Array.iteri (fun i (cc : companion) -> stamp_mat c base cc.n1 cc.n2 caps_g.(i)) c.caps;
   Array.iteri (fun i (cc : companion) -> stamp_mat c base cc.n1 cc.n2 inds_g.(i)) c.inds;
@@ -536,7 +496,8 @@ let make_transient_state c opts =
   }
 
 (* Linear-part right-hand side for the step at time [t]: history currents
-   plus injections from forced-node neighbours, in rebuild-path order.
+   plus injections from forced-node neighbours, in per-step-reassembly
+   order.
    Plain [for] loops with the integration match hoisted out — this runs
    once per step (the whole point of the factor-once split), so closure
    allocation here would dominate small circuits. *)
@@ -692,36 +653,6 @@ let fast_step c st opts vnode t =
         if not !converged then
           failwith (Printf.sprintf "Engine: Newton failed to converge at t=%g s" t);
         !iter
-
-(* The pre-factorization stepper: rebuild and refactor the whole system at
-   every step (and every Newton iteration), exactly as the engine did before
-   the compile/factor/step split.  Kept as the golden reference for
-   equivalence tests and speedup measurement. *)
-let rebuild_step c st opts vnode t =
-  let dt = opts.dt in
-  let assemble_base () =
-    let sys = sys_create ~n:c.n_unknown ~bw:c.bandwidth in
-    sys_clear sys;
-    let rhs = Array.make c.n_unknown 0. in
-    Array.iter (fun (r : resistor) -> stamp c sys rhs vnode r.rn1 r.rn2 r.rg 0.) c.resistors;
-    Array.iter
-      (fun (cc : companion) ->
-        let g = cap_g opts.integration dt cc in
-        stamp c sys rhs vnode cc.n1 cc.n2 g (cap_ieq opts.integration g cc))
-      c.caps;
-    Array.iter
-      (fun (cc : companion) ->
-        let g = ind_g opts.integration dt cc in
-        stamp c sys rhs vnode cc.n1 cc.n2 g (ind_ieq opts.integration g cc))
-      c.inds;
-    Array.iteri
-      (fun i k ->
-        stamp_coupled c sys rhs vnode k st.galpha.(i) st.ieq_k.(i))
-      c.coupled;
-    Array.iter (fun (s : isource) -> stamp c sys rhs vnode s.sn1 s.sn2 0. (s.samps t)) c.isources;
-    (sys, rhs)
-  in
-  newton ~opts ~c ~assemble_base ~vnode ~t
 
 (* Commit companion states after a converged step.  Coupled groups reuse the
    step's alpha*L^-1 and pre-step history sources.  The companion
@@ -941,6 +872,61 @@ let finish_step_loop obs r ~extra ~newton_total ~path step_t0 =
   Obs.add obs "engine.newton_iters" newton_total;
   if stopped r then Obs.incr obs "engine.early_stops"
 
+(* -------------------------------------------------------------- handles *)
+
+(* A compiled transient handle owns the topology analysis ([compile]), every
+   solver state built on it (one [transient_state] per (integration, step
+   size) — fixed-step states and adaptive rung/offcut states share the
+   table, since a state depends on nothing else), and the last DC operating
+   point.  Both step cores run on a handle; a one-shot [transient] is a
+   run on a freshly compiled one. *)
+type dc_entry = {
+  dc_f0 : int64 array;  (* forced-source values at t = 0, bit patterns *)
+  dc_i0 : int64 array;  (* current-source values at t = 0, bit patterns *)
+  dc_v : float array;
+}
+
+type handle = {
+  h_c : compiled;
+  mutable h_nl : Netlist.t;  (* latest restamp target: breakpoints live here *)
+  h_states : (int * float, transient_state) Hashtbl.t;
+  mutable h_dc : dc_entry option;
+}
+
+let int_tag = function Trapezoidal -> 0 | Backward_euler -> 1
+
+(* The solver state for [opts]' (integration, step size), plus whether it
+   was built by this call (what the adaptive refactor counter counts) —
+   this is where a sweep stops paying [make_transient_state] +
+   factorization per run. *)
+let state_for h opts =
+  let key = (int_tag opts.integration, opts.dt) in
+  match Hashtbl.find_opt h.h_states key with
+  | Some st -> (st, false)
+  | None ->
+      if Hashtbl.length h.h_states >= 128 then Hashtbl.reset h.h_states;
+      let st = make_transient_state h.h_c opts in
+      Hashtbl.add h.h_states key st;
+      (st, true)
+
+(* The DC operating point depends only on element values and the source
+   values at t = 0; cache it keyed by the latter (bit patterns, so any
+   behavioural difference at 0 forces a fresh solve).  Nonlinear circuits
+   always re-solve — their Newton iteration isn't worth fingerprinting. *)
+let dc_for h opts =
+  let c = h.h_c in
+  if Array.length c.nonlinears > 0 then dc_solve ~t:0. c opts
+  else begin
+    let f0 = Array.map (fun fs -> Int64.bits_of_float (fs.fsrc 0.)) c.forced in
+    let i0 = Array.map (fun (s : isource) -> Int64.bits_of_float (s.samps 0.)) c.isources in
+    match h.h_dc with
+    | Some e when e.dc_f0 = f0 && e.dc_i0 = i0 -> Array.copy e.dc_v
+    | _ ->
+        let v = dc_solve ~t:0. c opts in
+        h.h_dc <- Some { dc_f0 = f0; dc_i0 = i0; dc_v = Array.copy v };
+        v
+  end
+
 (* ------------------------------------------------------------- adaptive *)
 
 type adaptive = { dt_min : float; dt_max : float; ltol : float }
@@ -948,6 +934,25 @@ type adaptive = { dt_min : float; dt_max : float; ltol : float }
 let default_adaptive ?(dt_min = 0.25e-12) ?dt_max ?(ltol = 1e-2) () =
   let dt_max = match dt_max with Some v -> v | None -> dt_min *. 256. in
   { dt_min; dt_max; ltol }
+
+(* Every step parameter must be a finite positive float: a NaN [dt_min]
+   turns [t] into NaN and the adaptive loop never reaches a breakpoint, an
+   infinite one makes a single step span the run, and a NaN [ltol] fails
+   every comparison and so silently disables error control. *)
+let validate_run opts adaptive =
+  let check name v =
+    if not (Float.is_finite v && v > 0.) then
+      invalid_arg (Printf.sprintf "Engine.transient: %s must be finite and > 0 (got %g)" name v)
+  in
+  check "dt" opts.dt;
+  check "t_stop" opts.t_stop;
+  Option.iter
+    (fun a ->
+      check "dt_min" a.dt_min;
+      check "dt_max" a.dt_max;
+      check "ltol" a.ltol;
+      if a.dt_max < a.dt_min then invalid_arg "Engine.transient: adaptive wants dt_min <= dt_max")
+    adaptive
 
 (* Grow the rung only after this many consecutive accepted steps whose LTE
    estimate sits comfortably inside the budget. *)
@@ -958,7 +963,8 @@ let grow_margin = 0.25
    [h = dt_min * 2^k] so the per-(integration, h) factorization from
    [make_transient_state] is built at most once per rung and reused across
    every step taken at that rung; only breakpoint-clamped "offcut" steps
-   (one per arrival at a source kink) assemble a fresh system.
+   (one per arrival at a source kink) need a system of their own, built
+   once per distinct offcut size.
 
    The local truncation error of each attempted step is estimated as the
    gap between the corrector solution and a quadratic extrapolation through
@@ -974,22 +980,13 @@ let grow_margin = 0.25
    landed on exactly; landing resets the predictor history and drops back
    to rung 0, since the waveform is not smooth across a kink.
 
-   The stepper is parameterized over where its per-rung and offcut states
-   come from ([rung_state]/[offcut_state] return the state plus whether it
-   was freshly built, which is what the refactor counter counts) and over
-   the DC solve, so the plain [transient] path and the [Compiled] handle
-   path (which caches states and the DC point across runs) share this loop
-   verbatim — that sharing is what makes their results bit-identical. *)
-let validate_adaptive (a : adaptive) =
-  if a.dt_min <= 0. || a.dt_max < a.dt_min || a.ltol <= 0. then
-    invalid_arg "Engine.transient: adaptive wants 0 < dt_min <= dt_max and ltol > 0"
-
-let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) ~c ~dc ~breakpoints
-    ~rung_state ~offcut_state =
-  let t_stop = opts.t_stop in
+   Rung and offcut states come from the handle's state table, and a state
+   the table had to build counts as one refactor. *)
+let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) h =
+  let c = h.h_c and t_stop = opts.t_stop in
   (* The accepted-step count is data-dependent, so the recorder grows. *)
   let rc = make_recorder c ~record_nodes ~stop_at_rise ~exact_len:None in
-  let vnode = Obs.time obs "engine.dc_solve" dc in
+  let vnode = Obs.time obs "engine.dc_solve" (fun () -> dc_for h opts) in
   init_companions c vnode;
   let n_nodes = c.n_nodes in
   let kmax =
@@ -1000,7 +997,7 @@ let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) ~c ~dc ~
     !k
   in
   let bps =
-    let l = List.filter (fun b -> b > 0. && b < t_stop) breakpoints in
+    let l = List.filter (fun b -> b > 0. && b < t_stop) (Netlist.breakpoints h.h_nl) in
     Array.of_list (l @ [ t_stop ])
   in
   record rc 0. vnode;
@@ -1046,11 +1043,6 @@ let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) ~c ~dc ~
     !worst
   in
   let refactors = ref 0 in
-  let state_for k =
-    let st, fresh = rung_state k in
-    if fresh then incr refactors;
-    st
-  in
   let total_newton = ref 0 and worst_newton = ref 0 in
   let rejected = ref 0 in
   let k = ref 0 and consec = ref 0 and bpi = ref 0 in
@@ -1069,14 +1061,8 @@ let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) ~c ~dc ~
     let clamped = !t +. rung_h >= bp -. slack in
     let h_eff = if clamped then bp -. !t else rung_h in
     let t_new = if clamped then bp else !t +. rung_h in
-    let st =
-      if clamped then begin
-        let st, fresh = offcut_state h_eff in
-        if fresh then incr refactors;
-        st
-      end
-      else state_for !k
-    in
+    let st, fresh = state_for h { opts with dt = h_eff } in
+    if fresh then incr refactors;
     Array.blit vnode 0 v_save 0 n_nodes;
     update_forced c vnode t_new;
     for i = 0 to Array.length c.coupled - 1 do
@@ -1143,41 +1129,23 @@ let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) ~c ~dc ~
     refactors_ = !refactors;
   }
 
-let transient_adaptive ~obs ~opts ~record_nodes (a : adaptive) netlist =
-  validate_adaptive a;
-  if opts.t_stop <= 0. then invalid_arg "Engine.transient: t_stop must be positive";
-  let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
-  let rungs : (int, transient_state) Hashtbl.t = Hashtbl.create 8 in
-  adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise:None a ~c
-    ~dc:(fun () -> dc_solve ~t:0. c opts)
-    ~breakpoints:(Netlist.breakpoints netlist)
-    ~rung_state:(fun k ->
-      match Hashtbl.find_opt rungs k with
-      | Some st -> (st, false)
-      | None ->
-          let st = make_transient_state c { opts with dt = ldexp a.dt_min k } in
-          Hashtbl.add rungs k st;
-          (st, true))
-    ~offcut_state:(fun h_eff -> (make_transient_state c { opts with dt = h_eff }, true))
-
-(* Fixed-step stepping shared by [transient] and [Compiled.run]; like
-   [adaptive_core] it is parameterized over the DC solve and the solver
-   state so the compiled-handle path can substitute cached ones. *)
-let fixed_core ~obs ~opts ~record_nodes ~stop_at_rise ~reassemble_per_step ~c ~dc ~state =
-  let dt = opts.dt and t_stop = opts.t_stop in
+(* Fixed-step stepping on a handle: its cached DC point and solver state
+   for [(integration, dt)]. *)
+let fixed_core ~obs ~opts ~record_nodes ~stop_at_rise h =
+  let c = h.h_c and dt = opts.dt and t_stop = opts.t_stop in
   (* Tiny epsilon guards float-division noise (1e-9 / 10e-12 is slightly
      above 100) from adding a spurious extra step. *)
   let n_steps = Int.max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
   let rc = make_recorder c ~record_nodes ~stop_at_rise ~exact_len:(Some (n_steps + 1)) in
-  let vnode = Obs.time obs "engine.dc_solve" dc in
+  let vnode = Obs.time obs "engine.dc_solve" (fun () -> dc_for h opts) in
   init_companions c vnode;
   record rc 0. vnode;
-  let st = Obs.time obs "engine.factor" state in
+  let st = Obs.time obs "engine.factor" (fun () -> fst (state_for h opts)) in
   let total_newton = ref 0 and worst_newton = ref 0 in
   let step = ref 1 in
   let step_t0 = Obs.start obs in
-  (match (st.linear_fact, reassemble_per_step) with
-  | Some f, false ->
+  (match st.linear_fact with
+  | Some f ->
       (* Linear fast path, fully specialized: one factored solve per step,
          no per-step dispatch.  The forced-source update is open-coded and
          the isource term split off so that (for the common forced-input
@@ -1206,8 +1174,7 @@ let fixed_core ~obs ~opts ~record_nodes ~stop_at_rise ~reassemble_per_step ~c ~d
       done;
       total_newton := rc.r_len - 1;
       worst_newton := 1
-  | _ ->
-      let step_fn = if reassemble_per_step then rebuild_step else fast_step in
+  | None ->
       while !step <= n_steps && not (stopped rc) do
         let k = !step in
         if k land (deadline_stride - 1) = 0 then Deadline.check_ambient ();
@@ -1218,7 +1185,7 @@ let fixed_core ~obs ~opts ~record_nodes ~stop_at_rise ~reassemble_per_step ~c ~d
         for i = 0 to Array.length c.coupled - 1 do
           coupled_ieq_into c.coupled.(i) opts.integration st.galpha.(i) st.ieq_k.(i)
         done;
-        let iters = step_fn c st opts vnode t in
+        let iters = fast_step c st opts vnode t in
         total_newton := !total_newton + iters;
         worst_newton := Int.max !worst_newton iters;
         commit_step c st opts vnode;
@@ -1227,12 +1194,7 @@ let fixed_core ~obs ~opts ~record_nodes ~stop_at_rise ~reassemble_per_step ~c ~d
       done);
   let times_, cols = recorded rc in
   if Obs.enabled obs then begin
-    let path =
-      match (st.linear_fact, reassemble_per_step) with
-      | Some _, false -> "linear-fast"
-      | None, false -> "newton-fast"
-      | _, true -> "rebuild"
-    in
+    let path = if Option.is_some st.linear_fact then "linear-fast" else "newton-fast" in
     finish_step_loop obs rc ~extra:[] ~newton_total:!total_newton ~path step_t0
   end;
   {
@@ -1244,22 +1206,6 @@ let fixed_core ~obs ~opts ~record_nodes ~stop_at_rise ~reassemble_per_step ~c ~d
     rejected_ = 0;
     refactors_ = 0;
   }
-
-let transient ?(obs = Obs.null) ?options ?record_nodes ?(reassemble_per_step = false) ?adaptive
-    ~dt ~t_stop netlist =
-  let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
-  match adaptive with
-  | Some a ->
-      if reassemble_per_step then
-        invalid_arg "Engine.transient: adaptive and reassemble_per_step are exclusive";
-      transient_adaptive ~obs ~opts ~record_nodes a netlist
-  | None ->
-      if opts.dt <= 0. || opts.t_stop <= 0. then
-        invalid_arg "Engine.transient: dt and t_stop must be positive";
-      let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
-      fixed_core ~obs ~opts ~record_nodes ~stop_at_rise:None ~reassemble_per_step ~c
-        ~dc:(fun () -> dc_solve ~t:0. c opts)
-        ~state:(fun () -> make_transient_state c opts)
 
 let times r = Array.copy r.times_
 
@@ -1281,33 +1227,13 @@ let steps r = Array.length r.times_ - 1
 let steps_rejected r = r.rejected_
 let refactors r = r.refactors_
 
-(* Compile-once transient handles for candidate sweeps.
-
-   A handle owns the topology analysis ([compile]), every solver state built
-   on it (one [transient_state] per (integration, step size) — fixed-step
-   states and adaptive rung/offcut states share the table, since a state
-   depends on nothing else), and the last DC operating point.  [restamp]
-   writes new element values into the existing structure without
-   reallocating; only a matrix-affecting value change (R/C/L/L-matrix)
-   invalidates the cached states and DC point, so a sweep that only swaps
-   the input source pays zero re-factorization.  Results are bit-identical
-   to fresh [transient] calls: the shared step cores consume the same floats
-   computed by the same expressions in the same order. *)
+(* Compile-once transient handles for candidate sweeps.  [restamp] writes
+   new element values into the existing structure without reallocating;
+   only a matrix-affecting value change (R/C/L/L-matrix) invalidates the
+   cached states and DC point, so a sweep that only swaps the input source
+   pays zero re-factorization. *)
 module Compiled = struct
-  type dc_entry = {
-    dc_f0 : int64 array;  (* forced-source values at t = 0, bit patterns *)
-    dc_i0 : int64 array;  (* current-source values at t = 0, bit patterns *)
-    dc_v : float array;
-  }
-
-  type handle = {
-    h_c : compiled;
-    mutable h_nl : Netlist.t;  (* latest restamp target: breakpoints live here *)
-    h_states : (int * float, transient_state) Hashtbl.t;
-    mutable h_dc : dc_entry option;
-  }
-
-  let int_tag = function Trapezoidal -> 0 | Backward_euler -> 1
+  type nonrec handle = handle
 
   let compile ?(obs = Obs.null) netlist =
     let c = Obs.time obs "engine.compile" (fun () -> compile netlist) in
@@ -1419,56 +1345,12 @@ module Compiled = struct
       h.h_dc <- None
     end
 
-  (* One solver state per (integration, step size), shared between the
-     fixed-step path and the adaptive rung/offcut ladder — this is where
-     a sweep stops paying [make_transient_state] + factorization per run. *)
-  let state_for h opts =
-    let key = (int_tag opts.integration, opts.dt) in
-    match Hashtbl.find_opt h.h_states key with
-    | Some st -> (st, false)
-    | None ->
-        if Hashtbl.length h.h_states >= 128 then Hashtbl.reset h.h_states;
-        let st = make_transient_state h.h_c opts in
-        Hashtbl.add h.h_states key st;
-        (st, true)
-
-  (* The DC operating point depends only on element values and the source
-     values at t = 0; cache it keyed by the latter (bit patterns, so any
-     behavioural difference at 0 forces a fresh solve).  Nonlinear circuits
-     always re-solve — their Newton iteration isn't worth fingerprinting. *)
-  let dc_for h opts () =
-    let c = h.h_c in
-    if Array.length c.nonlinears > 0 then dc_solve ~t:0. c opts
-    else begin
-      let f0 = Array.map (fun fs -> Int64.bits_of_float (fs.fsrc 0.)) c.forced in
-      let i0 = Array.map (fun (s : isource) -> Int64.bits_of_float (s.samps 0.)) c.isources in
-      match h.h_dc with
-      | Some e when e.dc_f0 = f0 && e.dc_i0 = i0 -> Array.copy e.dc_v
-      | _ ->
-          let v = dc_solve ~t:0. c opts in
-          h.h_dc <- Some { dc_f0 = f0; dc_i0 = i0; dc_v = Array.copy v };
-          v
-    end
-
-  let run ?(obs = Obs.null) ?options ?record_nodes ?(reassemble_per_step = false) ?adaptive
-      ?stop_at_rise ~dt ~t_stop h =
-    let opts = match options with Some o -> o | None -> default_options ~dt ~t_stop in
+  let run ?(obs = Obs.null) ?options ?record_nodes ?adaptive ?stop_at_rise ~dt ~t_stop h =
+    let opts = Option.value options ~default:(default_options ~dt ~t_stop) in
+    validate_run opts adaptive;
     match adaptive with
-    | Some a ->
-        if reassemble_per_step then
-          invalid_arg "Engine.transient: adaptive and reassemble_per_step are exclusive";
-        validate_adaptive a;
-        if opts.t_stop <= 0. then invalid_arg "Engine.transient: t_stop must be positive";
-        adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise a ~c:h.h_c ~dc:(dc_for h opts)
-          ~breakpoints:(Netlist.breakpoints h.h_nl)
-          ~rung_state:(fun k -> state_for h { opts with dt = ldexp a.dt_min k })
-          ~offcut_state:(fun h_eff -> state_for h { opts with dt = h_eff })
-    | None ->
-        if opts.dt <= 0. || opts.t_stop <= 0. then
-          invalid_arg "Engine.transient: dt and t_stop must be positive";
-        fixed_core ~obs ~opts ~record_nodes ~stop_at_rise ~reassemble_per_step ~c:h.h_c
-          ~dc:(dc_for h opts)
-          ~state:(fun () -> fst (state_for h opts))
+    | Some a -> adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise a h
+    | None -> fixed_core ~obs ~opts ~record_nodes ~stop_at_rise h
 
   (* Structure-keyed handle cache, domain-local so handles (whose scratch
      is freely mutated during a run) are never shared across domains.  The
@@ -1549,3 +1431,9 @@ module Compiled = struct
         Hashtbl.replace tbl key h;
         h
 end
+
+let transient ?obs ?options ?record_nodes ?adaptive ~dt ~t_stop netlist =
+  (* Reject bad step parameters before paying for the compile; [run]
+     repeats the (cheap) check. *)
+  validate_run (Option.value options ~default:(default_options ~dt ~t_stop)) adaptive;
+  Compiled.run ?obs ?options ?record_nodes ?adaptive ~dt ~t_stop (Compiled.compile ?obs netlist)

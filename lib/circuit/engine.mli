@@ -13,8 +13,13 @@
     transient and each step only rebuilds the right-hand side
     (O(n·bw) instead of O(n·bw²) per step).  Nonlinear circuits pre-stamp
     the constant linear part once and copy it per Newton iteration.  The
-    fast path produces bit-identical waveforms to per-step reassembly,
-    which remains available via [~reassemble_per_step:true]. *)
+    waveforms are bit-identical to reassembling and refactoring the whole
+    system at every step; the test suite keeps such a stepper as its
+    oracle.
+
+    There is one transient path: {!Compiled.run} on a compiled handle.
+    {!transient} is a run on a freshly compiled one-shot handle, so the
+    two agree bit for bit by construction. *)
 
 module Waveform = Rlc_waveform.Waveform
 
@@ -60,15 +65,18 @@ val transient :
   ?obs:Rlc_obs.Obs.t ->
   ?options:options ->
   ?record_nodes:Netlist.node list ->
-  ?reassemble_per_step:bool ->
   ?adaptive:adaptive ->
   dt:float ->
   t_stop:float ->
   Netlist.t ->
   result
-(** Runs DC operating point at [t = 0] then steps to [t_stop].  Either pass
-    a full [options] record or just [dt]/[t_stop].  Raises [Failure] if
-    Newton fails to converge at any timestep.
+(** Runs DC operating point at [t = 0] then steps to [t_stop]: exactly
+    [Compiled.run] on [Compiled.compile netlist], a handle used once.
+    Either pass a full [options] record or just [dt]/[t_stop].  Raises
+    [Failure] if Newton fails to converge at any timestep, and
+    [Invalid_argument] — before compiling — unless every step parameter
+    ([dt], [t_stop] and, with [adaptive], [dt_min], [dt_max], [ltol]) is
+    finite and positive and [dt_min <= dt_max].
 
     [obs] (default disabled) records ["engine.compile"] /
     ["engine.dc_solve"] / ["engine.factor"] / ["engine.step_loop"] spans
@@ -84,25 +92,18 @@ val transient :
     dominates for long ladders whose observers only ever read input/near/far;
     {!voltage} on an unrecorded node raises [Invalid_argument].
 
-    [reassemble_per_step] (default [false]) disables the factor-once fast
-    path and rebuilds + refactors the full system at every step (and every
-    Newton iteration), as the engine did before the compile/factor/step
-    split.  The two paths produce bit-identical waveforms; the slow path is
-    kept as the golden reference for equivalence tests and speedup
-    measurement.
-
     [adaptive] switches to LTE-controlled variable time steps (see
     {!adaptive}); [dt] is then unused and the recorded waveforms sit on the
     adaptive (non-uniform) grid.  Every breakpoint declared on the netlist's
     forced sources ({!Netlist.force_voltage} / {!Netlist.force_pwl}) that
     falls inside [(0, t_stop)] is landed on exactly, as is [t_stop] itself,
     so source kinks are never stepped over; landing on a kink restarts the
-    stepper at [dt_min].  Incompatible with [reassemble_per_step].  With
-    [obs] enabled the step-loop span additionally carries [rejected] and
-    [refactors] args, accepted step sizes feed the ["engine.step_size_ns"]
-    histogram (values in nanoseconds), and ["engine.steps_rejected"] /
-    ["engine.refactors"] counters accumulate.  The fixed-step path is
-    completely untouched by this option. *)
+    stepper at [dt_min].  With [obs] enabled the step-loop span
+    additionally carries [rejected] and [refactors] args, accepted step
+    sizes feed the ["engine.step_size_ns"] histogram (values in
+    nanoseconds), and ["engine.steps_rejected"] / ["engine.refactors"]
+    counters accumulate.  The fixed-step path is completely untouched by
+    this option. *)
 
 val times : result -> float array
 val voltage : result -> Netlist.node -> Waveform.t
@@ -120,8 +121,9 @@ val steps_rejected : result -> int
 
 val refactors : result -> int
 (** Adaptive mode: companion-system assemblies/factorizations performed —
-    one per ladder rung visited plus one per breakpoint-clamped offcut step
-    (0 for fixed-step runs).  Ladder reuse working means this stays far
+    one per ladder rung visited and per distinct breakpoint-clamped offcut
+    step size, counting only those the handle had not built in an earlier
+    run (0 for fixed-step runs).  Ladder reuse working means this stays far
     below {!steps}. *)
 
 val dc_operating_point : ?t:float -> Netlist.t -> float array
@@ -137,10 +139,11 @@ val dc_operating_point : ?t:float -> Netlist.t -> float array
     amortizes everything that depends only on topology: compile (node
     ordering, bandwidth analysis, element slots), per-(integration, step
     size) solver states with their factorizations, and the DC operating
-    point.  {!run} on a handle is bit-identical to a fresh {!transient}
-    call on the equivalent netlist — same floats through the same step
-    cores in the same order — so callers can adopt it without moving any
-    accuracy goalposts. *)
+    point.  {!transient} is itself a {!run} on a one-shot handle, so a run
+    on a reused handle is bit-identical to a fresh {!transient} call on the
+    equivalent netlist — same floats through the same step cores in the
+    same order — and callers can adopt handles without moving any accuracy
+    goalposts. *)
 module Compiled : sig
   type handle
 
@@ -165,19 +168,18 @@ module Compiled : sig
     ?obs:Rlc_obs.Obs.t ->
     ?options:options ->
     ?record_nodes:Netlist.node list ->
-    ?reassemble_per_step:bool ->
     ?adaptive:adaptive ->
     ?stop_at_rise:Netlist.node * float ->
     dt:float ->
     t_stop:float ->
     handle ->
     result
-  (** Exactly {!transient} on the handle's current element values, minus
-      the per-call compile: solver states are cached per
-      [(integration, step size)] (fixed-step states and adaptive
-      rung/offcut states share the cache), and the DC operating point is
-      reused whenever the circuit is linear and every source's value at
-      [t = 0] is bit-identical to the cached solve's.
+  (** {!transient} on the handle's current element values, minus the
+      per-call compile (same arguments, same validation): solver states
+      are cached per [(integration, step size)] (fixed-step states and
+      adaptive rung/offcut states share the cache), and the DC operating
+      point is reused whenever the circuit is linear and every source's
+      value at [t = 0] is bit-identical to the cached solve's.
 
       [stop_at_rise:(node, level)] ends the run right after the first
       recorded step whose sample of [node] rises to [level] — the

@@ -275,14 +275,17 @@ let check_factored_equivalence name build ~dt ~t_stop () =
       let nl, probes = build () in
       let options = { (Engine.default_options ~dt ~t_stop) with Engine.integration } in
       let fast = Engine.transient ~options ~dt ~t_stop nl in
-      let naive = Engine.transient ~options ~reassemble_per_step:true ~dt ~t_stop nl in
+      let naive = Reassembly_oracle.transient options nl in
       Alcotest.(check int)
         (Printf.sprintf "%s/%s newton total" name tag)
-        (Engine.newton_total naive) (Engine.newton_total fast);
+        (Reassembly_oracle.newton_total naive) (Engine.newton_total fast);
       List.iter
         (fun node ->
           let vf = Waveform.values (Engine.voltage fast node) in
-          let vn = Waveform.values (Engine.voltage naive node) in
+          let vn = Reassembly_oracle.values naive node in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s sample count" name tag)
+            (Array.length vn) (Array.length vf);
           Array.iteri
             (fun i v ->
               if v <> vn.(i) then
@@ -465,11 +468,28 @@ let test_adaptive_rejects_bad_params () =
     (bad { Engine.dt_min = 1e-12; dt_max = 0.5e-12; ltol = 1e-3 });
   Alcotest.(check bool) "ltol <= 0" true
     (bad { Engine.dt_min = 1e-12; dt_max = 4e-12; ltol = 0. });
-  Alcotest.(check bool) "adaptive + reassemble" true
-    (match
-       Engine.transient ~reassemble_per_step:true
-         ~adaptive:(Engine.default_adaptive ()) ~dt:1e-12 ~t_stop:1e-9 nl
-     with
+  Alcotest.(check bool) "dt_min nan" true
+    (bad { Engine.dt_min = Float.nan; dt_max = 1e-12; ltol = 1e-3 });
+  Alcotest.(check bool) "dt_min inf" true
+    (bad { Engine.dt_min = Float.infinity; dt_max = Float.infinity; ltol = 1e-3 });
+  Alcotest.(check bool) "dt_max nan" true
+    (bad { Engine.dt_min = 1e-12; dt_max = Float.nan; ltol = 1e-3 });
+  Alcotest.(check bool) "dt_max inf" true
+    (bad { Engine.dt_min = 1e-12; dt_max = Float.infinity; ltol = 1e-3 });
+  Alcotest.(check bool) "ltol nan" true
+    (bad { Engine.dt_min = 1e-12; dt_max = 4e-12; ltol = Float.nan });
+  Alcotest.(check bool) "ltol inf" true
+    (bad { Engine.dt_min = 1e-12; dt_max = 4e-12; ltol = Float.infinity });
+  let bad_fixed ~dt ~t_stop =
+    match Engine.transient ~dt ~t_stop nl with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "fixed dt nan" true (bad_fixed ~dt:Float.nan ~t_stop:1e-9);
+  Alcotest.(check bool) "fixed dt inf" true (bad_fixed ~dt:Float.infinity ~t_stop:1e-9);
+  Alcotest.(check bool) "fixed t_stop nan" true (bad_fixed ~dt:1e-12 ~t_stop:Float.nan);
+  Alcotest.(check bool) "compiled run dt nan" true
+    (match Engine.Compiled.run ~dt:Float.nan ~t_stop:1e-9 (Engine.Compiled.compile nl) with
     | _ -> false
     | exception Invalid_argument _ -> true)
 

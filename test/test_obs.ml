@@ -597,8 +597,8 @@ let test_engine_counters () =
   Alcotest.(check string) "newton total annotated"
     (string_of_int (Obs.counter m "engine.newton_iters"))
     (List.assoc "newton_total" loop.Obs.sp_args);
-  Alcotest.(check bool) "fast path taken" true
-    (List.assoc "path" loop.Obs.sp_args <> "rebuild")
+  Alcotest.(check string) "fast path taken" "linear-fast"
+    (List.assoc "path" loop.Obs.sp_args)
 
 (* ------------------------------------------------------ flow invariants *)
 

@@ -40,9 +40,13 @@ let model_of (case : Evaluate.case) mode =
   Driver_model.model ~mode ~cell ~edge:Measure.Rising ~input_slew:case.Evaluate.input_slew
     ~line:case.Evaluate.line ~cl:case.Evaluate.cl ()
 
+(* The figures print whole waveforms, so they ask for the full window
+   rather than the default run that ends at the last measured crossing. *)
 let reference_of ?(dt = dt_fig) (case : Evaluate.case) =
-  Reference.simulate ~dt ~tech:case.Evaluate.tech ~size:case.Evaluate.size
-    ~input_slew:case.Evaluate.input_slew ~line:case.Evaluate.line ~cl:case.Evaluate.cl ()
+  let input_slew = case.Evaluate.input_slew and line = case.Evaluate.line in
+  Reference.simulate ~dt
+    ~t_stop:(Reference.default_t_stop ~t0:Reference.input_start ~input_slew ~line)
+    ~tech:case.Evaluate.tech ~size:case.Evaluate.size ~input_slew ~line ~cl:case.Evaluate.cl ()
 
 (* ---------------------------------------------------------------- fig1 *)
 

@@ -778,13 +778,16 @@ let record_plan c record_nodes =
   (col_of_node, rec_nodes)
 
 (* Recording shared by both step cores: one sample of the recorded nodes
-   per accepted step, plus the optional rising-edge stop.  The stop test is
-   exactly [Waveform.crossings]' Rising predicate on the last two samples of
-   the stop column, so a stopped run's samples are the prefix of the
-   unstopped run up to and including the first crossing interval.  A run
-   that cannot stop early and knows its length ([exact_len], fixed step)
-   allocates its buffers once; otherwise they double on demand (amortized
-   O(1), no per-step allocation), capped at [exact_len] when known. *)
+   per accepted step, plus the optional stop list.  Each entry's test is
+   exactly [Waveform.crossings]' Rising ([prev < l && cur >= l]) or Falling
+   ([prev > l && cur <= l]) predicate on the last two samples of its
+   column; an entry that fires leaves the pending count, and the run stops
+   on the step that empties it, so a stopped run's samples are the prefix
+   of the unstopped run up to and including the last entry's first
+   crossing interval.  A run that cannot stop early and knows its length
+   ([exact_len], fixed step) allocates its buffers once; otherwise they
+   double on demand (amortized O(1), no per-step allocation), capped at
+   [exact_len] when known. *)
 type recorder = {
   r_col_of_node : int array;
   rec_nodes : int array;
@@ -792,23 +795,28 @@ type recorder = {
   mutable r_times : float array;
   mutable r_cols : float array array;
   mutable r_len : int;
-  stop_col : int;  (* -1: no stop *)
-  stop_level : float;
-  mutable stop_step : int;  (* -1 until the stop fires *)
+  stop_cols : int array;  (* one column per stop entry *)
+  stop_rising : bool array;
+  stop_levels : float array;
+  stop_hit : bool array;
+  mutable pending : int;  (* entries still waiting for their crossing *)
+  mutable stop_step : int;  (* -1 until the last pending entry fires *)
 }
 
-let make_recorder c ~record_nodes ~stop_at_rise ~exact_len =
+let make_recorder c ~record_nodes ~stop_after ~exact_len =
   let col_of_node, rec_nodes = record_plan c record_nodes in
-  let stop_col, stop_level =
-    match stop_at_rise with
-    | None -> (-1, 0.)
-    | Some (n, level) ->
+  let stops = Array.of_list stop_after in
+  let stop_cols =
+    Array.map
+      (fun (n, _, _) ->
         if n < 0 || n >= c.n_nodes || col_of_node.(n) < 0 then
-          invalid_arg "Engine.Compiled.run: stop_at_rise node is not recorded";
-        (col_of_node.(n), level)
+          invalid_arg "Engine.Compiled.run: stop_after node is not recorded";
+        col_of_node.(n))
+      stops
   in
+  let pending = Array.length stops in
   let max_len = Option.value exact_len ~default:max_int in
-  let cap = if stop_col < 0 && exact_len <> None then max_len else Int.min max_len 256 in
+  let cap = if pending = 0 && exact_len <> None then max_len else Int.min max_len 256 in
   {
     r_col_of_node = col_of_node;
     rec_nodes;
@@ -816,8 +824,11 @@ let make_recorder c ~record_nodes ~stop_at_rise ~exact_len =
     r_times = Array.make cap 0.;
     r_cols = Array.map (fun _ -> Array.make cap 0.) rec_nodes;
     r_len = 0;
-    stop_col;
-    stop_level;
+    stop_cols;
+    stop_rising = Array.map (fun (_, d, _) -> d = Waveform.Rising) stops;
+    stop_levels = Array.map (fun (_, _, l) -> l) stops;
+    stop_hit = Array.make pending false;
+    pending;
     stop_step = -1;
   }
 
@@ -832,6 +843,20 @@ let grow_recorder r =
   r.r_times <- regrow r.r_times;
   r.r_cols <- Array.map regrow r.r_cols
 
+(* Test every pending entry on the interval ending at sample [len]. *)
+let check_stops r len =
+  for i = 0 to Array.length r.stop_cols - 1 do
+    if not r.stop_hit.(i) then begin
+      let col = r.r_cols.(r.stop_cols.(i)) and l = r.stop_levels.(i) in
+      let prev = col.(len - 1) and cur = col.(len) in
+      if (if r.stop_rising.(i) then prev < l && cur >= l else prev > l && cur <= l) then begin
+        r.stop_hit.(i) <- true;
+        r.pending <- r.pending - 1
+      end
+    end
+  done;
+  if r.pending = 0 then r.stop_step <- len
+
 let[@inline] record r t vnode =
   let len = r.r_len in
   if len = Array.length r.r_times then grow_recorder r;
@@ -841,10 +866,7 @@ let[@inline] record r t vnode =
     cols.(i).(len) <- vnode.(r.rec_nodes.(i))
   done;
   r.r_len <- len + 1;
-  if r.stop_col >= 0 && len > 0 then begin
-    let col = cols.(r.stop_col) in
-    if col.(len - 1) < r.stop_level && col.(len) >= r.stop_level then r.stop_step <- len
-  end
+  if r.pending > 0 && len > 0 then check_stops r len
 
 let stopped r = r.stop_step >= 0
 
@@ -982,10 +1004,10 @@ let grow_margin = 0.25
 
    Rung and offcut states come from the handle's state table, and a state
    the table had to build counts as one refactor. *)
-let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) h =
+let adaptive_core ~obs ~opts ~record_nodes ~stop_after (a : adaptive) h =
   let c = h.h_c and t_stop = opts.t_stop in
   (* The accepted-step count is data-dependent, so the recorder grows. *)
-  let rc = make_recorder c ~record_nodes ~stop_at_rise ~exact_len:None in
+  let rc = make_recorder c ~record_nodes ~stop_after ~exact_len:None in
   let vnode = Obs.time obs "engine.dc_solve" (fun () -> dc_for h opts) in
   init_companions c vnode;
   let n_nodes = c.n_nodes in
@@ -1131,12 +1153,12 @@ let adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise (a : adaptive) h =
 
 (* Fixed-step stepping on a handle: its cached DC point and solver state
    for [(integration, dt)]. *)
-let fixed_core ~obs ~opts ~record_nodes ~stop_at_rise h =
+let fixed_core ~obs ~opts ~record_nodes ~stop_after h =
   let c = h.h_c and dt = opts.dt and t_stop = opts.t_stop in
   (* Tiny epsilon guards float-division noise (1e-9 / 10e-12 is slightly
      above 100) from adding a spurious extra step. *)
   let n_steps = Int.max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
-  let rc = make_recorder c ~record_nodes ~stop_at_rise ~exact_len:(Some (n_steps + 1)) in
+  let rc = make_recorder c ~record_nodes ~stop_after ~exact_len:(Some (n_steps + 1)) in
   let vnode = Obs.time obs "engine.dc_solve" (fun () -> dc_for h opts) in
   init_companions c vnode;
   record rc 0. vnode;
@@ -1345,12 +1367,12 @@ module Compiled = struct
       h.h_dc <- None
     end
 
-  let run ?(obs = Obs.null) ?options ?record_nodes ?adaptive ?stop_at_rise ~dt ~t_stop h =
+  let run ?(obs = Obs.null) ?options ?record_nodes ?adaptive ?(stop_after = []) ~dt ~t_stop h =
     let opts = Option.value options ~default:(default_options ~dt ~t_stop) in
     validate_run opts adaptive;
     match adaptive with
-    | Some a -> adaptive_core ~obs ~opts ~record_nodes ~stop_at_rise a h
-    | None -> fixed_core ~obs ~opts ~record_nodes ~stop_at_rise h
+    | Some a -> adaptive_core ~obs ~opts ~record_nodes ~stop_after a h
+    | None -> fixed_core ~obs ~opts ~record_nodes ~stop_after h
 
   (* Structure-keyed handle cache, domain-local so handles (whose scratch
      is freely mutated during a run) are never shared across domains.  The
@@ -1432,8 +1454,9 @@ module Compiled = struct
         h
 end
 
-let transient ?obs ?options ?record_nodes ?adaptive ~dt ~t_stop netlist =
+let transient ?obs ?options ?record_nodes ?adaptive ?stop_after ~dt ~t_stop netlist =
   (* Reject bad step parameters before paying for the compile; [run]
      repeats the (cheap) check. *)
   validate_run (Option.value options ~default:(default_options ~dt ~t_stop)) adaptive;
-  Compiled.run ?obs ?options ?record_nodes ?adaptive ~dt ~t_stop (Compiled.compile ?obs netlist)
+  Compiled.run ?obs ?options ?record_nodes ?adaptive ?stop_after ~dt ~t_stop
+    (Compiled.compile ?obs netlist)

@@ -66,12 +66,15 @@ val transient :
   ?options:options ->
   ?record_nodes:Netlist.node list ->
   ?adaptive:adaptive ->
+  ?stop_after:(Netlist.node * Waveform.direction * float) list ->
   dt:float ->
   t_stop:float ->
   Netlist.t ->
   result
-(** Runs DC operating point at [t = 0] then steps to [t_stop]: exactly
-    [Compiled.run] on [Compiled.compile netlist], a handle used once.
+(** Runs DC operating point at [t = 0] then steps to [t_stop] — or, with
+    [stop_after], until every listed first crossing has happened (see
+    {!Compiled.run}): exactly [Compiled.run] on [Compiled.compile netlist],
+    a handle used once.
     Either pass a full [options] record or just [dt]/[t_stop].  Raises
     [Failure] if Newton fails to converge at any timestep, and
     [Invalid_argument] — before compiling — unless every step parameter
@@ -81,8 +84,8 @@ val transient :
     [obs] (default disabled) records ["engine.compile"] /
     ["engine.dc_solve"] / ["engine.factor"] / ["engine.step_loop"] spans
     (the step-loop span carries [steps], [newton_total], the solver
-    [path] and [stopped] — always [none] here, see {!Compiled.run} — as
-    args) plus ["engine.transients"] / ["engine.steps"] /
+    [path] and [stopped] — the stop step or [none], see {!Compiled.run} —
+    as args) plus ["engine.transients"] / ["engine.steps"] /
     ["engine.newton_iters"] counters.  Only phase boundaries are
     instrumented — the per-step inner loops are untouched, so results and
     speed are identical when disabled.
@@ -169,7 +172,7 @@ module Compiled : sig
     ?options:options ->
     ?record_nodes:Netlist.node list ->
     ?adaptive:adaptive ->
-    ?stop_at_rise:Netlist.node * float ->
+    ?stop_after:(Netlist.node * Waveform.direction * float) list ->
     dt:float ->
     t_stop:float ->
     handle ->
@@ -181,19 +184,22 @@ module Compiled : sig
       point is reused whenever the circuit is linear and every source's
       value at [t = 0] is bit-identical to the cached solve's.
 
-      [stop_at_rise:(node, level)] ends the run right after the first
-      recorded step whose sample of [node] rises to [level] — the
-      {!Rlc_waveform.Waveform.crossings} [Rising] test, [prev < level &&
-      cur >= level], on consecutive samples — in fixed-step, Newton and
-      adaptive runs alike.  The result's times and waveforms are then
-      exactly the unstopped run's prefix up to that step, so its last
-      interval holds the node's first rising crossing of [level] (and every
-      first-crossing measurement at or below it reads the same bits); a
-      level that is never reached yields the unstopped result.  [node]
-      must be recorded (see [record_nodes]), else [Invalid_argument].
-      Stopped runs grow their buffers on demand rather than sizing them
-      for [t_stop]; [steps], [newton_total] and the [obs] counters count
-      only the steps executed.  With [obs], the step-loop span carries a
+      [stop_after] lists first crossings [(node, direction, level)]; the
+      run ends right after the first recorded step by which every entry's
+      node has crossed its level in its direction — the
+      {!Rlc_waveform.Waveform.crossings} test on consecutive samples,
+      [prev < level && cur >= level] for [Rising] and
+      [prev > level && cur <= level] for [Falling] — in fixed-step, Newton
+      and adaptive runs alike.  The result's times and waveforms are then
+      exactly the unstopped run's prefix up to that step, so every listed
+      first crossing — and any other first crossing completed by then —
+      reads the same bits as the full run, while nothing after that step
+      is present.  An entry that is never reached yields the unstopped
+      result, as does [[]] (the default).  Every listed node must be
+      recorded (see [record_nodes]), else [Invalid_argument].  Stoppable
+      runs grow their buffers on demand rather than sizing them for
+      [t_stop]; [steps], [newton_total] and the [obs] counters count only
+      the steps executed.  With [obs], the step-loop span carries a
       [stopped] arg (the stop step, or [none]) and each stopped run adds
       one to ["engine.early_stops"]. *)
 

@@ -18,24 +18,37 @@ type t = {
 let default_t_stop ~t0 ~input_slew ~line =
   t0 +. input_slew +. Float.max 2e-9 (20. *. Line.time_of_flight line)
 
+let input_start = 30e-12
+
+(* Every first crossing [t_in50] and the near/far measurements read. *)
+let measured_crossings ~vdd ~input ~near ~far =
+  let at node edge frac = (node, edge, Measure.level_of_frac ~vdd ~edge ~frac) in
+  let rising node = List.map (at node Measure.Rising) [ 0.1; 0.5; 0.9 ] in
+  (at input Measure.Falling 0.5 :: rising near) @ rising far
+
 let simulate ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ~tech ~size ~input_slew
     ~line ~cl () =
-  let t0 = 30e-12 in
-  let t_stop =
-    match t_stop with Some t -> t | None -> default_t_stop ~t0 ~input_slew ~line
-  in
+  let t0 = input_start and vdd = tech.Rlc_devices.Tech.vdd in
   let far_ref = ref Netlist.ground in
+  (* Without an explicit window the run stops right after the last
+     crossing the measurements read; [default_t_stop] is only the cap. *)
+  let t_stop, stop_after =
+    match t_stop with
+    | Some t -> (t, None)
+    | None ->
+        ( default_t_stop ~t0 ~input_slew ~line,
+          Some (fun ~input ~output -> measured_crossings ~vdd ~input ~near:output ~far:!far_ref) )
+  in
   (* Only input/near/far are ever read back, so don't store the whole
      ladder's waveforms. *)
   let r =
-    Testbench.drive ?obs ~dt ~t_stop ?adaptive ~t0 ~edge:Testbench.Rise
+    Testbench.drive ?obs ~dt ~t_stop ?adaptive ?stop_after ~t0 ~edge:Testbench.Rise
       ~record:(fun () -> [ !far_ref ])
       ~tech ~size ~input_slew
       ~load:(fun nl node -> Ladder.attach_load ?n_segments line ~cl nl node far_ref)
       ()
   in
   let far = Engine.voltage r.Testbench.engine !far_ref in
-  let vdd = tech.Rlc_devices.Tech.vdd in
   let t_in50 =
     Measure.t_frac_exn r.Testbench.input ~vdd ~edge:Measure.Falling ~frac:0.5
   in

@@ -18,11 +18,16 @@ type t = {
   t_in50 : float;  (** absolute time of the input 50 % crossing *)
 }
 
+val input_start : float
+(** 30 ps: when {!simulate}'s input ramp starts (its [t0]). *)
+
 val default_t_stop : t0:float -> input_slew:float -> line:Line.t -> float
-(** The default simulation window of {!simulate}:
+(** The full simulation window of {!simulate}:
     [t0 + input_slew + max(2 ns, 20 tf)], where [tf] is the line's time of
     flight — wide enough that the slowest Table-1 ramp settles and far-end
-    50 %/90 % crossings always exist. *)
+    50 %/90 % crossings always exist.  [simulate] without [~t_stop] uses it
+    as the cap of an early-stopped run; pass
+    [~t_stop:(default_t_stop ~t0:input_start ...)] for the whole window. *)
 
 val simulate :
   ?obs:Rlc_obs.Obs.t ->
@@ -38,10 +43,16 @@ val simulate :
   unit ->
   t
 (** Rising-output bench: falling input ramp, inverter of the given size,
-    ladder, load cap.  Defaults: [dt = 0.25 ps],
-    [t_stop = 30 ps + slew + max(2 ns, 20 tf)].  [adaptive] switches the
-    engine to LTE-controlled stepping ([dt] is then unused); the returned
-    waveforms sit on the adaptive grid. *)
+    ladder, load cap.  Defaults: [dt = 0.25 ps]; [adaptive] switches the
+    engine to LTE-controlled stepping ([dt] is then unused) and the
+    returned waveforms sit on the adaptive grid.
+
+    Without [t_stop] the transient ends right after the last first
+    crossing the measurements below read — input 50 % falling, near and
+    far end 10/50/90 % rising — capped at {!default_t_stop}: [t_in50] and
+    every [near_*]/[far_*] value are bitwise those of the full window, but
+    the waveforms end there (see {!Rlc_circuit.Engine.Compiled.run}).
+    Pass [~t_stop] to get a whole window, e.g. to plot the waveforms. *)
 
 val replay_pwl :
   ?obs:Rlc_obs.Obs.t ->

@@ -26,7 +26,7 @@ let cap_load farads nl node =
   if farads > 0. then Netlist.capacitor nl ~name:"Cload" node Netlist.ground farads
 
 let drive ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?(t0 = 10e-12) ?(edge = Rise) ?record
-    ~tech ~size ~input_slew ~load () =
+    ?stop_after ~tech ~size ~input_slew ~load () =
   if input_slew <= 0. then invalid_arg "Testbench.drive: input_slew must be positive";
   let t_stop =
     match t_stop with Some t -> t | None -> t0 +. (4. *. input_slew) +. 1e-9
@@ -46,15 +46,17 @@ let drive ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?(t0 = 10e-12) ?(edge = Rise) 
   let inv = Inverter.make tech ~size in
   Inverter.add nl inv ~vdd_node ~input ~output;
   load nl output;
-  (* The [record] thunk runs after [load] so it can name nodes the load
-     callback created (e.g. the far end of a just-attached ladder).  The
-     bench's own observation nodes are always kept. *)
+  (* The [record] thunk and the [stop_after] callback run after [load] so
+     they can name nodes the load callback created (e.g. the far end of a
+     just-attached ladder).  The bench's own observation nodes are always
+     kept. *)
   let record_nodes =
     match record with
     | None -> None
     | Some extra -> Some (input :: output :: vdd_node :: extra ())
   in
-  let engine = Engine.transient ?obs ?record_nodes ?adaptive ~dt ~t_stop nl in
+  let stop_after = Option.map (fun f -> f ~input ~output) stop_after in
+  let engine = Engine.transient ?obs ?record_nodes ?adaptive ?stop_after ~dt ~t_stop nl in
   {
     input = Engine.voltage engine input;
     output = Engine.voltage engine output;

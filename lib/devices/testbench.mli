@@ -35,6 +35,10 @@ val drive :
   ?t0:float ->
   ?edge:edge ->
   ?record:(unit -> Netlist.node list) ->
+  ?stop_after:
+    (input:Netlist.node ->
+    output:Netlist.node ->
+    (Netlist.node * Waveform.direction * float) list) ->
   tech:Tech.t ->
   size:float ->
   input_slew:float ->
@@ -52,6 +56,15 @@ val drive :
     always kept).  When omitted every node is recorded — for long ladder
     loads that is O(nodes × steps) memory, so observers that only read a
     few probe nodes should pass the list.
+
+    [stop_after], also evaluated after [load], receives the input and
+    output nodes and returns the first crossings the caller will read
+    (see {!Rlc_circuit.Engine.Compiled.run}): the transient ends right
+    after the last of them, [t_stop] stays the cap, and the returned
+    waveforms are the full run's bit-exact prefix — so those crossings
+    measure exactly as on the full window, while anything later is
+    absent.  Every node it names must be recorded.  When omitted the run
+    covers the whole window.
 
     [obs] and [adaptive] are forwarded to {!Rlc_circuit.Engine.transient};
     the input ramp's corners ([t0] and [t0 + input_slew]) are declared as

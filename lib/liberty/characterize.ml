@@ -12,19 +12,27 @@ let default_grid =
 
 let characterize_point tech ~size ~edge ~input_slew ~cap =
   let vdd = tech.Tech.vdd in
-  (* Conservative horizon: the input ramp plus several output time
-     constants of the weakest drivers into the largest loads. *)
-  let t0 = 10e-12 in
-  let t_stop = t0 +. (2. *. input_slew) +. Float.max 2e-9 (2000. *. cap) in
-  let r =
-    Testbench.drive ~dt:0.5e-12 ~t_stop ~t0 ~edge ~tech ~size ~input_slew
-      ~load:(Testbench.cap_load cap) ()
-  in
   let out_edge =
     match edge with Testbench.Rise -> Measure.Rising | Testbench.Fall -> Measure.Falling
   in
   let in_edge =
     match edge with Testbench.Rise -> Measure.Falling | Testbench.Fall -> Measure.Rising
+  in
+  (* Conservative horizon: the input ramp plus several output time
+     constants of the weakest drivers into the largest loads.  It is only
+     the cap: the run ends right after the last crossing measured below,
+     so every number reads the same bits as on the full window. *)
+  let t0 = 10e-12 in
+  let t_stop = t0 +. (2. *. input_slew) +. Float.max 2e-9 (2000. *. cap) in
+  let stop_after ~input ~output =
+    (input, in_edge, Measure.level_of_frac ~vdd ~edge:in_edge ~frac:0.5)
+    :: List.map
+         (fun frac -> (output, out_edge, Measure.level_of_frac ~vdd ~edge:out_edge ~frac))
+         [ 0.1; 0.2; 0.5; 0.8; 0.9 ]
+  in
+  let r =
+    Testbench.drive ~dt:0.5e-12 ~t_stop ~t0 ~edge ~stop_after ~tech ~size ~input_slew
+      ~load:(Testbench.cap_load cap) ()
   in
   let fail_point msg =
     failwith
@@ -93,7 +101,7 @@ let characterize_arc tech ~size ~edge grid =
    insert wins). *)
 type store = { mutable entries : (float * Table.cell) array  (* sorted by size *) }
 
-let stores : (string * int, store) Hashtbl.t = Hashtbl.create 4
+let stores : (string * float array * float array, store) Hashtbl.t = Hashtbl.create 4
 let cache_mutex = Mutex.create ()
 
 (* Global visibility counters: sweep-scale loops live or die on this memo,
@@ -111,15 +119,17 @@ let with_cache f =
 
 let clear_cache () = with_cache (fun () -> Hashtbl.reset stores)
 
-(* The grid participates in the store key: characterizing the same cell on
-   a different grid must not return stale tables. *)
+(* The grid's values are the store key: characterizing the same cell on a
+   different grid must not return stale tables.  A key hashed down to an int
+   would not do — [Hashtbl.hash] reads only the first 10 floats — whereas
+   here a hash collision only shares a bucket.  The stored key is a copy,
+   so a caller mutating its grid cannot move it. *)
 let store_for ~grid tech =
-  let key = (tech.Tech.name, Hashtbl.hash (grid.slews, grid.caps)) in
-  match Hashtbl.find_opt stores key with
+  match Hashtbl.find_opt stores (tech.Tech.name, grid.slews, grid.caps) with
   | Some s -> s
   | None ->
       let s = { entries = [||] } in
-      Hashtbl.add stores key s;
+      Hashtbl.add stores (tech.Tech.name, Array.copy grid.slews, Array.copy grid.caps) s;
       s
 
 let find_size entries size =

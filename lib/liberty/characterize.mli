@@ -3,8 +3,10 @@
     This plays the role of the foundry's SPICE characterization runs — each
     grid point is one transient of (ramp input -> inverter -> pure
     capacitance), measured with the shared {!Rlc_waveform.Measure}
-    conventions.  Results are memoized per (technology, size, grid) because
-    the effective-capacitance iterations hit the same cell repeatedly. *)
+    conventions and ended right after the last crossing it measures, so
+    the numbers are bitwise those of the whole conservative window.
+    Results are memoized per (technology, size, grid) because the
+    effective-capacitance iterations hit the same cell repeatedly. *)
 
 type grid = {
   slews : float array;  (** input transitions, seconds *)

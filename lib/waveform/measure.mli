@@ -11,6 +11,12 @@
 
 type edge = Waveform.direction = Rising | Falling
 
+val level_of_frac : vdd:float -> edge:edge -> frac:float -> float
+(** The voltage {!t_frac} looks for: [frac * vdd] for [Rising],
+    [(1 - frac) * vdd] for [Falling].  Callers that stop a transient at a
+    measured crossing name it with this level, so the stop and the
+    measurement test the same bits. *)
+
 val t_frac : Waveform.t -> vdd:float -> edge:edge -> frac:float -> float option
 (** First time the waveform crosses [frac * vdd] in the direction matching
     [edge] (for [Falling], the crossing of [(1 - frac)] of the swing, i.e.

@@ -13,7 +13,7 @@ type member = {
 
 let default_segments = 40
 
-let simulate ?obs ?(n_segments = default_segments) ?stop_at_rise ~dt ~victim ~aggressors () =
+let simulate ?obs ?(n_segments = default_segments) ?(stop_after = []) ~dt ~victim ~aggressors () =
   if n_segments < 1 then invalid_arg "Rlc_xtalk.Cluster.simulate: need at least one segment";
   if dt <= 0. then invalid_arg "Rlc_xtalk.Cluster.simulate: dt must be positive";
   List.iter
@@ -104,7 +104,7 @@ let simulate ?obs ?(n_segments = default_segments) ?stop_at_rise ~dt ~victim ~ag
      cheapest possible restamp for the compiled-handle cache. *)
   let r =
     Engine.Compiled.run ?obs ~record_nodes:[ fars.(0) ]
-      ?stop_at_rise:(Option.map (fun level -> (fars.(0), level)) stop_at_rise)
+      ~stop_after:(List.map (fun (dir, level) -> (fars.(0), dir, level)) stop_after)
       ~dt ~t_stop (Engine.Compiled.cached ?obs nl)
   in
   Waveform.shift_time (-.shift) (Engine.voltage r fars.(0))

@@ -33,7 +33,7 @@ val default_segments : int
 val simulate :
   ?obs:Rlc_obs.Obs.t ->
   ?n_segments:int ->
-  ?stop_at_rise:float ->
+  ?stop_after:(Rlc_waveform.Waveform.direction * float) list ->
   dt:float ->
   victim:member ->
   aggressors:(member * float) list ->
@@ -46,14 +46,15 @@ val simulate :
     [replay_pwl]).  The stop time is the last drive's end plus the larger
     of 1 ns and ten flight times of the slowest member.
 
-    [stop_at_rise] (a level in volts) ends the transient right after the
-    first step where the victim's far end rises to it (see
+    [stop_after] lists [(direction, level)] first crossings of the
+    victim's far end (levels in volts); the transient ends right after the
+    step by which all of them have happened (see
     {!Rlc_circuit.Engine.Compiled.run}): the returned waveform is then
-    exactly the full-length one's prefix through that crossing, so its
-    first rising crossing of the level — or of any lower level — is
+    exactly the full-length one's prefix through that step, so those
+    crossings — and any first crossing completed by then — are
     bit-identical to the full run's, while nothing after it (the peak, the
-    settling tail, later crossings) is present.  A level that is never
-    reached returns the full-length waveform.
+    settling tail, later crossings) is present.  A crossing that never
+    happens returns the full-length waveform.
 
     Deterministic: a pure function of the arguments, independent of worker
     scheduling. *)

@@ -214,7 +214,7 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
                        stops right after it. *)
                     let far =
                       Cluster.simulate ~obs ~n_segments:config.Config.n_segments
-                        ~stop_at_rise:(0.5 *. vdd) ~dt:config.Config.dt
+                        ~stop_after:[ (Measure.Rising, 0.5 *. vdd) ] ~dt:config.Config.dt
                         ~victim:(member_of ~drive:vm.Driver_model.pwl v)
                         ~aggressors:falling ()
                     in

@@ -94,7 +94,7 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
     the victim switching and the aggressors opposing for the worst delay.
     Only the first far-end 50 % crossing of an alignment transient is read,
     so each one stops right after it ({!Cluster.simulate}'s
-    [stop_at_rise]); the noise transient runs its full window.
+    [stop_after]); the noise transient runs its full window.
     Clusters are scheduled on the level-parallel domain pool ({!Config.t}
     [pool]/[jobs]); the flow's Ceff cache is not consulted or touched.
 

@@ -473,7 +473,7 @@ let test_default_t_stop_covers_table1 () =
   List.iter
     (fun (r : Experiments.paper_row) ->
       let case = Experiments.case_of_row r in
-      let t0 = 30e-12 in
+      let t0 = Reference.input_start in
       let stop =
         Reference.default_t_stop ~t0 ~input_slew:case.Evaluate.input_slew
           ~line:case.Evaluate.line
@@ -484,6 +484,71 @@ let test_default_t_stop_covers_table1 () =
         (stop -. t0 -. case.Evaluate.input_slew
         >= 20. *. Line.time_of_flight case.Evaluate.line -. 1e-15))
     Experiments.table1
+
+(* The default reference run ends right after its last measured crossing;
+   every number it reports must be bitwise the full window's, from fewer
+   samples.  Cases: every Table-1 row, plus a stride through the Figure-7
+   grid, the cases on either side of the screen's Rs/Z0 = 1 edge, and the
+   weakest driver (25X) on the longest (7 mm) lines. *)
+let test_reference_stop_matches_full_window () =
+  let bits = Int64.bits_of_float in
+  let sweep = Experiments.sweep_cases () in
+  let rs_over_z0 (c : Evaluate.case) =
+    let m =
+      Driver_model.model ~cell:(cell_exn c.Evaluate.tech ~size:c.Evaluate.size)
+        ~edge:Measure.Rising ~input_slew:c.Evaluate.input_slew ~line:c.Evaluate.line
+        ~cl:c.Evaluate.cl ()
+    in
+    m.Driver_model.screen.Screen.rs_over_z0
+  in
+  let closest_to_one keep =
+    let scored =
+      List.filter (fun (r, _) -> keep r) (List.map (fun c -> (rs_over_z0 c, c)) sweep)
+    in
+    let key (r, _) = Float.abs (r -. 1.) in
+    snd (List.fold_left (fun a b -> if key b < key a then b else a) (List.hd scored) scored)
+  in
+  let weakest_long =
+    List.filter
+      (fun c ->
+        String.starts_with ~prefix:"7/" c.Evaluate.label
+        && String.ends_with ~suffix:" 25x s200" c.Evaluate.label)
+      sweep
+  in
+  let cases =
+    List.map Experiments.case_of_row Experiments.table1
+    @ List.filteri (fun i _ -> i mod 53 = 0) sweep
+    @ [ closest_to_one (fun r -> r < 1.); closest_to_one (fun r -> r >= 1.) ]
+    @ weakest_long
+  in
+  List.iter
+    (fun (c : Evaluate.case) ->
+      let input_slew = c.Evaluate.input_slew and line = c.Evaluate.line in
+      let sim ?t_stop () =
+        Reference.simulate ~dt:0.5e-12 ?t_stop ~tech:c.Evaluate.tech ~size:c.Evaluate.size
+          ~input_slew ~line ~cl:c.Evaluate.cl ()
+      in
+      let stopped = sim () in
+      let full =
+        sim ~t_stop:(Reference.default_t_stop ~t0:Reference.input_start ~input_slew ~line) ()
+      in
+      List.iter
+        (fun (what, f) ->
+          let a = f stopped and b = f full in
+          if bits a <> bits b then
+            Alcotest.failf "%s: %s %.17g (stopped) <> %.17g (full window)" c.Evaluate.label
+              what a b)
+        [
+          ("t_in50", fun r -> r.Reference.t_in50);
+          ("near_delay", Reference.near_delay);
+          ("near_slew", Reference.near_slew);
+          ("far_delay", Reference.far_delay);
+          ("far_slew", Reference.far_slew);
+        ];
+      Alcotest.(check bool)
+        (c.Evaluate.label ^ ": fewer samples") true
+        (Waveform.length stopped.Reference.near < Waveform.length full.Reference.near))
+    cases
 
 let test_adaptive_matches_fixed_on_table1 () =
   (* Acceptance bar for the adaptive engine: on a Table-1 case the reference
@@ -602,6 +667,8 @@ let () =
             test_default_t_stop_covers_table1;
           Alcotest.test_case "adaptive matches fixed on Table 1 (<1%)" `Slow
             test_adaptive_matches_fixed_on_table1;
+          Alcotest.test_case "early stop = full-window oracle (Table 1, Fig. 7)" `Quick
+            test_reference_stop_matches_full_window;
         ] );
       ( "sweep",
         [ Alcotest.test_case "jobs-parallel sweep deterministic" `Slow test_sweep_jobs_deterministic ] );

@@ -247,14 +247,14 @@ let build_coupled_pair () =
   Netlist.resistor nl b2 Netlist.ground 1e3;
   (nl, [ a1; a2; b1; b2 ])
 
-let build_nonlinear_clamp () =
+let build_nonlinear_clamp ?(drive = step 1.) () =
   (* Step through a resistor into a capacitor clamped by a diode: exercises
      the Newton path (several iterations per step) on top of linear
      stamps. *)
   let is_ = 1e-14 and vt = 0.02585 in
   let nl = Netlist.create () in
   let src = Netlist.node nl "src" and out = Netlist.node nl "out" in
-  Netlist.force_voltage nl src (step 1.);
+  Netlist.force_voltage nl src drive;
   Netlist.resistor nl src out 1e3;
   Netlist.capacitor nl out Netlist.ground 0.1e-12;
   Netlist.nonlinear nl
@@ -638,13 +638,41 @@ let test_compiled_coupled () =
 let test_compiled_nonlinear () =
   check_compiled_identity "nonlinear-clamp" build_nonlinear_clamp ~dt:1e-12 ~t_stop:0.5e-9 ()
 
-(* Early stop: a run with [~stop_at_rise:(node, level)] must be, bit for
-   bit, the unstopped run's prefix through the first rising crossing of
-   [level] at [node] — so every first-crossing measurement at that level
+(* Early stop: a run with [~stop_after] must be, bit for bit, the
+   unstopped run's prefix through the step on which the last listed entry
+   makes its first crossing — so every listed first-crossing measurement
    is unchanged — across circuit kinds, integrators and stepping modes.
+   The stop lists mix directions and are built from the full run ([stops]
+   gets the builder's netlist, probes and the full result), and the
+   expected stop step is computed independently from the full waveforms.
    Each handle runs full, stopped, full again, so a stopped run must also
    leave the handle's cached state fit for reuse. *)
-let check_stop_prefix name build ~pick ~level ~dt ~t_stop () =
+let first_cross_index vs dir level =
+  let n = Array.length vs in
+  let rec go i =
+    if i >= n then None
+    else
+      let hit =
+        match dir with
+        | Waveform.Rising -> vs.(i - 1) < level && vs.(i) >= level
+        | Waveform.Falling -> vs.(i - 1) > level && vs.(i) <= level
+      in
+      if hit then Some i else go (i + 1)
+  in
+  go 1
+
+(* Midway between a node's peak and its final value: a ringing node falls
+   through it after the peak. *)
+let fall_level r node =
+  let w = Engine.voltage r node in
+  let peak = Waveform.v_max w and final = Waveform.v_final w in
+  if peak -. final < 1e-3 then
+    Alcotest.failf "no falling edge after the peak (%g -> %g)" peak final;
+  0.5 *. (peak +. final)
+
+let probe nl probes name = List.find (fun p -> Netlist.node_name nl p = name) probes
+
+let check_stop_prefix name build ~stops ~dt ~t_stop () =
   let module Obs = Rlc_obs.Obs in
   let bits = Int64.bits_of_float in
   List.iter
@@ -653,21 +681,30 @@ let check_stop_prefix name build ~pick ~level ~dt ~t_stop () =
         (fun (mode, adaptive) ->
           let ctx = Printf.sprintf "%s/%s/%s" name tag mode in
           let nl, probes = build () in
-          let node = pick probes in
           let options = { (Engine.default_options ~dt ~t_stop) with Engine.integration } in
           let h = Engine.Compiled.compile nl in
-          let run ?obs ?record_nodes ?stop_at_rise () =
-            Engine.Compiled.run ?obs ~options ?adaptive ?record_nodes ?stop_at_rise ~dt ~t_stop h
+          let run ?obs ?record_nodes ?stop_after () =
+            Engine.Compiled.run ?obs ~options ?adaptive ?record_nodes ?stop_after ~dt ~t_stop h
           in
           let full = run () in
+          let stop_after = stops nl probes full in
+          let dirs = List.sort_uniq compare (List.map (fun (_, d, _) -> d) stop_after) in
+          Alcotest.(check int) (ctx ^ ": mixed directions") 2 (List.length dirs);
+          let cross_index (node, dir, level) =
+            match first_cross_index (Waveform.values (Engine.voltage full node)) dir level with
+            | Some i -> i
+            | None -> Alcotest.failf "%s: entry at %g never crosses in the full run" ctx level
+          in
+          let last = List.fold_left (fun acc e -> Int.max acc (cross_index e)) 0 stop_after in
           let obs = Obs.create () in
-          let stopped = run ~obs ~stop_at_rise:(node, level) () in
+          let stopped = run ~obs ~stop_after () in
           let again = run () in
           let tf = Engine.times full and ts = Engine.times stopped in
           let n = Array.length ts in
           if Engine.times again <> tf then Alcotest.failf "%s: rerun after a stop differs" ctx;
           if n >= Array.length tf then
             Alcotest.failf "%s: no early stop (%d of %d samples)" ctx n (Array.length tf);
+          Alcotest.(check int) (ctx ^ ": ends on the last entry's crossing step") last (n - 1);
           if Array.sub tf 0 n <> ts then Alcotest.failf "%s: stopped times not a prefix" ctx;
           List.iter
             (fun p ->
@@ -680,18 +717,17 @@ let check_stop_prefix name build ~pick ~level ~dt ~t_stop () =
                       (Netlist.node_name nl p) i v vf.(i))
                 vs)
             probes;
-          (* The last interval holds the first crossing; the 50 %-style
-             measurement (vdd = 1, frac = level) reads the same bits. *)
-          let vs = Waveform.values (Engine.voltage stopped node) in
-          Alcotest.(check bool)
-            (ctx ^ ": last interval crosses") true
-            (vs.(n - 2) < level && vs.(n - 1) >= level);
-          let t_cross r =
-            Measure.t_frac (Engine.voltage r node) ~vdd:1. ~edge:Measure.Rising ~frac:level
-          in
-          (match (t_cross full, t_cross stopped) with
-          | Some a, Some b when bits a = bits b -> ()
-          | _ -> Alcotest.failf "%s: first crossing moved" ctx);
+          (* Every listed first crossing reads the same bits. *)
+          List.iter
+            (fun (node, direction, level) ->
+              let t_cross r = Waveform.first_crossing (Engine.voltage r node) ~level ~direction in
+              match (t_cross full, t_cross stopped) with
+              | Some a, Some b when bits a = bits b -> ()
+              | _ -> Alcotest.failf "%s: first crossing of %g moved" ctx level)
+            stop_after;
+          (* The list is a set: its order does not move the stop. *)
+          if Engine.times (run ~stop_after:(List.rev stop_after) ()) <> ts then
+            Alcotest.failf "%s: reversed stop list stopped elsewhere" ctx;
           (* Counters count executed steps only. *)
           let m = Obs.snapshot obs in
           Alcotest.(check int) (ctx ^ ": steps") (n - 1) (Engine.steps stopped);
@@ -707,38 +743,72 @@ let check_stop_prefix name build ~pick ~level ~dt ~t_stop () =
           Alcotest.(check string)
             (ctx ^ ": stopped arg") (string_of_int (n - 1))
             (List.assoc "stopped" loop.Obs.sp_args);
-          (* A level never reached leaves the run whole. *)
-          let whole = run ~stop_at_rise:(node, 10.) () in
-          if Engine.times whole <> tf then Alcotest.failf "%s: unreached level cut the run" ctx;
+          (* One entry never reached, or no entry at all, leaves the run
+             whole, and is not counted as a stop. *)
+          let node, _, _ = List.hd stop_after in
           List.iter
-            (fun p ->
-              if
-                Waveform.values (Engine.voltage whole p) <> Waveform.values (Engine.voltage full p)
-              then Alcotest.failf "%s: unreached level changed node %s" ctx (Netlist.node_name nl p))
-            probes;
-          Alcotest.(check int) (ctx ^ ": unreached newton") (Engine.newton_total full)
-            (Engine.newton_total whole);
-          (* The stop node must be recorded. *)
+            (fun (what, stop_after) ->
+              let obs = Obs.create () in
+              let whole = run ~obs ~stop_after () in
+              if Engine.times whole <> tf then Alcotest.failf "%s: %s cut the run" ctx what;
+              List.iter
+                (fun p ->
+                  if
+                    Waveform.values (Engine.voltage whole p)
+                    <> Waveform.values (Engine.voltage full p)
+                  then
+                    Alcotest.failf "%s: %s changed node %s" ctx what (Netlist.node_name nl p))
+                probes;
+              Alcotest.(check int)
+                (ctx ^ ": " ^ what ^ " newton") (Engine.newton_total full)
+                (Engine.newton_total whole);
+              Alcotest.(check int)
+                (ctx ^ ": " ^ what ^ " not counted") 0
+                (Obs.counter (Obs.snapshot obs) "engine.early_stops"))
+            [ ("unreached entry", stop_after @ [ (node, Waveform.Rising, 10.) ]); ("[]", []) ];
+          (* Every stop node must be recorded. *)
           let other = List.find (fun p -> p <> node) probes in
-          match run ~record_nodes:[ other ] ~stop_at_rise:(node, level) () with
+          match run ~record_nodes:[ other ] ~stop_after () with
           | exception Invalid_argument _ -> ()
           | _ -> Alcotest.failf "%s: unrecorded stop node accepted" ctx)
         [ ("fixed", None); ("adaptive", Some (Engine.default_adaptive ~dt_min:dt ())) ])
     [ ("trap", Engine.Trapezoidal); ("be", Engine.Backward_euler) ]
 
 let test_stop_rlc () =
-  check_stop_prefix "rlc-ladder" build_rlc_ladder ~pick:List.hd ~level:0.5 ~dt:0.5e-12
-    ~t_stop:0.5e-9 ()
+  (* Far end rising, a ringing near node falling back from its peak. *)
+  check_stop_prefix "rlc-ladder" build_rlc_ladder
+    ~stops:(fun nl probes full ->
+      let n1 = probe nl probes "n1" and n6 = probe nl probes "n6" in
+      [
+        (List.hd probes, Waveform.Rising, 0.5);
+        (n1, Waveform.Falling, fall_level full n1);
+        (n6, Waveform.Rising, 0.9);
+      ])
+    ~dt:0.5e-12 ~t_stop:0.5e-9 ()
 
 let test_stop_coupled () =
+  (* Rise and ring-down of the aggressor's far end plus the victim. *)
   check_stop_prefix "coupled-pair" build_coupled_pair
-    ~pick:(fun probes -> List.nth probes 1)
-    ~level:0.5 ~dt:1e-12 ~t_stop:1e-9 ()
+    ~stops:(fun nl probes full ->
+      let a2 = probe nl probes "a2" in
+      [
+        (a2, Waveform.Rising, 0.5);
+        (a2, Waveform.Falling, fall_level full a2);
+        (probe nl probes "a1", Waveform.Rising, 0.2);
+      ])
+    ~dt:1e-12 ~t_stop:1e-9 ()
+
+(* The diode clamp driven by a 1 V pulse that drops back to 0 at 0.2 ns:
+   the Newton path with a rising and a falling edge. *)
+let build_nonlinear_pulse () =
+  build_nonlinear_clamp ~drive:(fun t -> if t <= 0. || t > 0.2e-9 then 0. else 1.) ()
 
 let test_stop_nonlinear () =
-  check_stop_prefix "nonlinear-clamp" build_nonlinear_clamp
-    ~pick:(fun probes -> List.nth probes 1)
-    ~level:0.3 ~dt:1e-12 ~t_stop:0.5e-9 ()
+  check_stop_prefix "nonlinear-clamp" build_nonlinear_pulse
+    ~stops:(fun nl probes _ ->
+      let out = probe nl probes "out" in
+      [ (out, Waveform.Rising, 0.3); (out, Waveform.Falling, 0.2) ])
+    ~dt:1e-12 ~t_stop:0.5e-9 ()
 
 let build_rc_pair r c =
   let nl = Netlist.create () in

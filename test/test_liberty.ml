@@ -109,6 +109,73 @@ let test_fall_arc_differs () =
   let df = Table.delay c ~edge:Rlc_waveform.Measure.Falling ~slew:(Units.ps 100.) ~cap:(Units.ff 200.) in
   Alcotest.(check bool) "both arcs positive" true (dr > 0. && df > 0.)
 
+let test_store_key_is_the_grid () =
+  (* Two grids that differ only in their last cap hash alike
+     ([Hashtbl.hash] stops after its first 10 meaningful values); their
+     stores must stay apart. *)
+  let g1 = Characterize.default_grid in
+  let g2 = { g1 with Characterize.caps = Array.copy g1.Characterize.caps } in
+  let last = Array.length g2.caps - 1 in
+  g2.caps.(last) <- 2. *. g2.caps.(last);
+  Alcotest.(check bool) "the grids hash alike" true
+    (Hashtbl.hash (g1.slews, g1.caps) = Hashtbl.hash (g2.slews, g2.caps));
+  ignore (cell_exn ~grid:g1 tech ~size:75.);
+  Alcotest.(check (list (float 0.))) "g2 store untouched" [] (Characterize.sizes ~grid:g2 tech);
+  Alcotest.(check bool) "g1 store holds 75X" true
+    (List.mem 75. (Characterize.sizes ~grid:g1 tech))
+
+let test_point_matches_full_window () =
+  (* A characterization point ends its transient right after the last
+     crossing it measures; every number must be bitwise the one a
+     full-window run of the same bench measures. *)
+  let module Measure = Rlc_waveform.Measure in
+  let bits = Int64.bits_of_float in
+  let vdd = tech.Tech.vdd in
+  let grid = Characterize.default_grid in
+  let full_window ~size ~edge ~input_slew ~cap =
+    let t0 = 10e-12 in
+    let t_stop = t0 +. (2. *. input_slew) +. Float.max 2e-9 (2000. *. cap) in
+    let r =
+      Testbench.drive ~dt:0.5e-12 ~t_stop ~t0 ~edge ~tech ~size ~input_slew
+        ~load:(Testbench.cap_load cap) ()
+    in
+    let out_edge, in_edge =
+      match edge with
+      | Testbench.Rise -> (Measure.Rising, Measure.Falling)
+      | Testbench.Fall -> (Measure.Falling, Measure.Rising)
+    in
+    let out = r.Testbench.output in
+    let get = Option.get in
+    ( get
+        (Measure.delay_50 ~input:r.Testbench.input ~output:out ~vdd ~input_edge:in_edge
+           ~output_edge:out_edge),
+      get (Measure.slew_10_90 out ~vdd ~edge:out_edge),
+      get (Measure.slew_20_80 out ~vdd ~edge:out_edge),
+      get (Measure.slew out ~vdd ~edge:out_edge ~lo:0.5 ~hi:0.9) )
+  in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun edge ->
+          Array.iter
+            (fun input_slew ->
+              Array.iter
+                (fun cap ->
+                  let d, a, b, t =
+                    Result.get_ok
+                      (Characterize.characterize_point_res tech ~size ~edge ~input_slew ~cap)
+                  in
+                  let d', a', b', t' = full_window ~size ~edge ~input_slew ~cap in
+                  if List.exists2 (fun x y -> bits x <> bits y) [ d; a; b; t ] [ d'; a'; b'; t' ]
+                  then
+                    Alcotest.failf "%gX %s slew %g ps cap %g fF: stopped point differs" size
+                      (if edge = Testbench.Rise then "rise" else "fall")
+                      (Units.in_ps input_slew) (Units.in_ff cap))
+                grid.Characterize.caps)
+            grid.Characterize.slews)
+        [ Testbench.Rise; Testbench.Fall ])
+    [ 25.; 125. ]
+
 (* -------------------------------------------------------------- liberty *)
 
 let test_ast_parse_basic () =
@@ -284,6 +351,9 @@ let () =
           Alcotest.test_case "ramp extrapolation" `Quick test_ramp_time_extrapolation;
           Alcotest.test_case "cache" `Quick test_cache_hit;
           Alcotest.test_case "fall arc" `Quick test_fall_arc_differs;
+          Alcotest.test_case "store key is the grid" `Quick test_store_key_is_the_grid;
+          Alcotest.test_case "point = full-window oracle (25X, 125X)" `Quick
+            test_point_matches_full_window;
           q prop_lookup_inside_grid_is_bounded;
         ] );
       ( "liberty",

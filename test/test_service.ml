@@ -465,12 +465,12 @@ let test_server_oversized () =
 
 let test_server_timeout () =
   with_server (fun server ->
-      (* A reference-simulation request at a tiny timestep takes far longer
-         than 2 ms of wall clock; the alarm must convert it into a typed
-         timeout response, after which the daemon keeps serving. *)
+      (* A reference-simulation request at a tiny timestep (0.005 ps) takes
+         far longer than 2 ms of wall clock; the alarm must convert it into
+         a typed timeout response, after which the daemon keeps serving. *)
       let resp, control =
         send server
-          {|{"schema":"rlc-service/1","kind":"sweep_case","timeout_ms":2,"length_mm":7,"width_um":0.8,"size":75,"dt_ps":0.05}|}
+          {|{"schema":"rlc-service/1","kind":"sweep_case","timeout_ms":2,"length_mm":7,"width_um":0.8,"size":75,"dt_ps":0.005}|}
       in
       Alcotest.(check (option string)) "timeout code" (Some "timeout")
         (Json.get_string (member "code" (member "error" resp)));
@@ -753,6 +753,8 @@ let test_server_unix_overload () =
       let server = Server.create ~workers:1 ~queue_capacity:1 session in
       let path = temp_socket_path () in
       let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
+      (* 0.005 ps steps keep the reference run well past the 400 ms
+         budget even though it ends at its last measured crossing. *)
       let slow_req id =
         Json.to_string
           (Json.Obj
@@ -764,7 +766,7 @@ let test_server_unix_overload () =
                ("length_mm", Json.Float 7.);
                ("width_um", Json.Float 0.8);
                ("size", Json.Float 75.);
-               ("dt_ps", Json.Float 0.05);
+               ("dt_ps", Json.Float 0.005);
              ])
       in
       let a = client_channels path and b = client_channels path and c = client_channels path in
@@ -1076,6 +1078,8 @@ let test_server_unix_health_saturation () =
       let server = Server.create ~workers:1 ~queue_capacity:1 session in
       let path = temp_socket_path () in
       let serving = Domain.spawn (fun () -> Server.serve_unix server ~path) in
+      (* 0.005 ps steps keep the reference run well past the 400 ms
+         budget even though it ends at its last measured crossing. *)
       let slow_req id =
         Json.to_string
           (Json.Obj
@@ -1087,7 +1091,7 @@ let test_server_unix_health_saturation () =
                ("length_mm", Json.Float 7.);
                ("width_um", Json.Float 0.8);
                ("size", Json.Float 75.);
-               ("dt_ps", Json.Float 0.05);
+               ("dt_ps", Json.Float 0.005);
              ])
       in
       let a = client_channels path and b = client_channels path and c = client_channels path in

@@ -22,10 +22,9 @@ let far_delay_of size line cl =
     Driver_model.model ~cell ~edge:Rlc_waveform.Measure.Rising
       ~input_slew:(Rlc_num.Units.ps 100.) ~line ~cl ()
   in
-  let _, far = Reference.replay_pwl ~dt:0.5e-12 ~pwl:model.Driver_model.pwl ~line ~cl () in
-  let t50 =
-    Rlc_waveform.Measure.t_frac_exn far ~vdd:tech.Rlc_devices.Tech.vdd
-      ~edge:Rlc_waveform.Measure.Rising ~frac:0.5
+  let t50, _ =
+    Reference.replay_far ~dt:0.5e-12 ~vdd:tech.Rlc_devices.Tech.vdd ~pwl:model.Driver_model.pwl
+      ~line ~cl ()
   in
   (model, t50)
 

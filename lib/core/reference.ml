@@ -54,8 +54,11 @@ let simulate ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ~tech ~size ~in
   in
   { input = r.Testbench.input; near = r.Testbench.output; far; vdd; t_in50 }
 
-let replay_pwl ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(reuse = true) ~pwl ~line
-    ~cl () =
+(* The ideal-source replay shared by [replay_pwl] and [replay_far]:
+   [far_stops] lists the far end's [(direction, level)] first crossings
+   that may end the run early ([[]] for the whole window).  Returns
+   [(near, far)] on the caller's PWL time axis. *)
+let replay ?obs ~dt ?t_stop ?adaptive ?n_segments ~reuse ~far_stops ~pwl ~line ~cl () =
   (* Shift so the source starts after t = 0 (the engine's DC point must see
      the quiescent low state). *)
   let start = fst (List.hd (Pwl.points pwl)) in
@@ -73,19 +76,36 @@ let replay_pwl ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(reuse = tru
   Netlist.force_pwl nl near pwl;
   let far_ref = ref Netlist.ground in
   Ladder.attach_load ?n_segments line ~cl nl near far_ref;
+  let record_nodes = [ near; !far_ref ]
+  and stop_after = List.map (fun (dir, level) -> (!far_ref, dir, level)) far_stops in
   (* Ceff-model replays sweep many π/ladder loads of identical shape; the
      structure-keyed handle cache makes each after the first a restamp
      (values in, no compile/alloc) with bit-identical results.  [reuse:false]
      keeps the uncached path available for equivalence tests. *)
   let r =
     if reuse then
-      Engine.Compiled.run ?obs ~record_nodes:[ near; !far_ref ] ?adaptive ~dt ~t_stop
+      Engine.Compiled.run ?obs ~record_nodes ?adaptive ~stop_after ~dt ~t_stop
         (Engine.Compiled.cached ?obs nl)
-    else Engine.transient ?obs ~record_nodes:[ near; !far_ref ] ?adaptive ~dt ~t_stop nl
+    else Engine.transient ?obs ~record_nodes ?adaptive ~stop_after ~dt ~t_stop nl
   in
   (* Undo the shift: return waveforms on the caller's PWL time axis. *)
   ( Waveform.shift_time (-.shift) (Engine.voltage r near),
     Waveform.shift_time (-.shift) (Engine.voltage r !far_ref) )
+
+let replay_pwl ?obs ?(dt = 0.25e-12) ?t_stop ?adaptive ?n_segments ?(reuse = true) ~pwl ~line
+    ~cl () =
+  replay ?obs ~dt ?t_stop ?adaptive ?n_segments ~reuse ~far_stops:[] ~pwl ~line ~cl ()
+
+let replay_far ?obs ?(dt = 0.25e-12) ?adaptive ~vdd ~pwl ~line ~cl () =
+  let edge = Measure.Rising in
+  let far_stops =
+    List.map (fun frac -> (edge, Measure.level_of_frac ~vdd ~edge ~frac)) [ 0.1; 0.5; 0.9 ]
+  in
+  let _, far = replay ?obs ~dt ?adaptive ~reuse:true ~far_stops ~pwl ~line ~cl () in
+  let stage_delay = Measure.t_frac_exn far ~vdd ~edge ~frac:0.5 in
+  match Measure.slew_10_90 far ~vdd ~edge with
+  | Some s -> (stage_delay, s)
+  | None -> invalid_arg "Reference.replay_far: far end never completed 10-90"
 
 let near_delay t =
   match

@@ -5,7 +5,8 @@
       the ground truth the model is scored against;
     - {!replay_pwl}: the modeled one-/two-ramp waveform as an ideal source
       driving the same line — step 5 of the paper's flow, used to validate
-      the far-end response of the model (Figure 6 right). *)
+      the far-end response of the model (Figure 6 right); {!replay_far}
+      measures that replay's far end and stops once it has. *)
 
 module Waveform = Rlc_waveform.Waveform
 module Line = Rlc_tline.Line
@@ -76,6 +77,29 @@ val replay_pwl :
     replays after the first restamp values into the compiled structure
     instead of recompiling.  Results are bit-identical either way; pass
     [~reuse:false] to force a fresh compile per call. *)
+
+val replay_far :
+  ?obs:Rlc_obs.Obs.t ->
+  ?dt:float ->
+  ?adaptive:Rlc_circuit.Engine.adaptive ->
+  vdd:float ->
+  pwl:Rlc_waveform.Pwl.t ->
+  line:Line.t ->
+  cl:float ->
+  unit ->
+  float * float
+(** [(stage_delay, far_slew)]: the far end's 50 % crossing time on the
+    PWL's time axis and its 10–90 % slew, both rising, for the same cached
+    replay as {!replay_pwl}.
+
+    Like {!simulate} without [~t_stop], the transient ends right after the
+    last first crossing these read — far-end 10/50/90 % of [vdd], levels
+    from {!Rlc_waveform.Measure.level_of_frac} — capped at {!replay_pwl}'s
+    default window, so both values are bitwise those of a full-window
+    {!replay_pwl} measured with {!Rlc_waveform.Measure}.  A level never
+    reached runs the whole window and raises [Invalid_argument]: the 50 %
+    one with {!Rlc_waveform.Measure.t_frac_exn}'s message, a missing 10 %
+    or 90 % (with 50 % reached) as an incomplete far end. *)
 
 (* Measurements (conventions of DESIGN.md §4, all on the rising edge). *)
 

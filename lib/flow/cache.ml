@@ -1,13 +1,20 @@
-(* Hash-partitioned shards: each shard owns a table, a mutex, and its own
-   hit/miss counters, so concurrent requests hitting a shared cache
-   contend only when their keys land on the same shard.  Aggregate stats
-   are sums over shards. *)
+(* Hash-partitioned shards: each shard owns a table, a mutex, its own
+   hit/miss/eviction counters and a fixed ring of [cap] slots swept by a
+   clock hand, so concurrent requests hitting a shared cache contend only
+   when their keys land on the same shard.  Aggregate stats are sums over
+   shards. *)
+
+type 'a entry = { key : string; value : 'a; mutable referenced : bool }
 
 type 'a shard = {
-  table : (string, 'a) Hashtbl.t;
+  table : (string, 'a entry) Hashtbl.t;
+  ring : 'a entry option array;  (* length [cap]; slots [0, used) are filled *)
+  mutable used : int;
+  mutable hand : int;  (* next slot the clock inspects once the ring is full *)
   mutex : Mutex.t;
   mutable hits : int;
   mutable misses : int;
+  mutable evictions : int;
 }
 
 type 'a t = {
@@ -16,17 +23,28 @@ type 'a t = {
 }
 
 let default_shards = 16
+let default_capacity = 2048
 
-let make_shard () =
-  { table = Hashtbl.create 64; mutex = Mutex.create (); hits = 0; misses = 0 }
+let make_shard cap =
+  {
+    table = Hashtbl.create (Int.min cap 64);
+    ring = Array.make cap None;
+    used = 0;
+    hand = 0;
+    mutex = Mutex.create ();
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+  }
 
-let create ?(shards = default_shards) () =
+let create ?(shards = default_shards) ?(capacity = default_capacity) () =
   let requested = Int.max 1 shards in
   let n = ref 1 in
   while !n < requested do
     n := !n * 2
   done;
-  { shards = Array.init !n (fun _ -> make_shard ()); mask = !n - 1 }
+  let cap = Int.max 1 (capacity / !n) in
+  { shards = Array.init !n (fun _ -> make_shard cap); mask = !n - 1 }
 
 let shard_of t key = t.shards.(Hashtbl.hash key land t.mask)
 let shards t = Array.length t.shards
@@ -35,14 +53,42 @@ let locked s f =
   Mutex.lock s.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
 
+(* Second chance: the hand clears set reference bits until it meets a
+   clear one, evicts that entry and leaves its slot for the newcomer.  Every
+   bit the hand clears was set by a hit, so a sweep costs amortized O(1)
+   per operation. *)
+let insert s entry =
+  let cap = Array.length s.ring in
+  if s.used < cap then begin
+    s.ring.(s.used) <- Some entry;
+    s.used <- s.used + 1
+  end
+  else begin
+    let rec victim () =
+      match s.ring.(s.hand) with
+      | Some e when e.referenced ->
+          e.referenced <- false;
+          s.hand <- (s.hand + 1) mod cap;
+          victim ()
+      | Some e -> Hashtbl.remove s.table e.key
+      | None -> assert false (* a full ring has no empty slot *)
+    in
+    victim ();
+    s.ring.(s.hand) <- Some entry;
+    s.hand <- (s.hand + 1) mod cap;
+    s.evictions <- s.evictions + 1
+  end;
+  Hashtbl.replace s.table entry.key entry
+
 let find_or_add t key compute =
   let s = shard_of t key in
   match
     locked s (fun () ->
         match Hashtbl.find_opt s.table key with
-        | Some v ->
+        | Some e ->
             s.hits <- s.hits + 1;
-            Some v
+            e.referenced <- true;
+            Some e.value
         | None -> None)
   with
   | Some v -> (v, true)
@@ -52,9 +98,9 @@ let find_or_add t key compute =
         locked s (fun () ->
             s.misses <- s.misses + 1;
             match Hashtbl.find_opt s.table key with
-            | Some v' -> v' (* a racing domain inserted the same pure result first *)
+            | Some e -> e.value (* a racing domain inserted the same pure result first *)
             | None ->
-                Hashtbl.add s.table key v;
+                insert s { key; value = v; referenced = false };
                 v)
       in
       (v, false)
@@ -62,15 +108,21 @@ let find_or_add t key compute =
 let sum_over t f = Array.fold_left (fun acc s -> acc + locked s (fun () -> f s)) 0 t.shards
 let hits t = sum_over t (fun s -> s.hits)
 let misses t = sum_over t (fun s -> s.misses)
+let evictions t = sum_over t (fun s -> s.evictions)
 let length t = sum_over t (fun s -> Hashtbl.length s.table)
 
-type shard_stat = { s_length : int; s_hits : int; s_misses : int }
+type shard_stat = { s_length : int; s_hits : int; s_misses : int; s_evictions : int }
 
 let shard_stats t =
   Array.map
     (fun s ->
       locked s (fun () ->
-          { s_length = Hashtbl.length s.table; s_hits = s.hits; s_misses = s.misses }))
+          {
+            s_length = Hashtbl.length s.table;
+            s_hits = s.hits;
+            s_misses = s.misses;
+            s_evictions = s.evictions;
+          }))
     t.shards
 
 let clear t =
@@ -78,8 +130,12 @@ let clear t =
     (fun s ->
       locked s (fun () ->
           Hashtbl.reset s.table;
+          Array.fill s.ring 0 (Array.length s.ring) None;
+          s.used <- 0;
+          s.hand <- 0;
           s.hits <- 0;
-          s.misses <- 0))
+          s.misses <- 0;
+          s.evictions <- 0))
     t.shards
 
 let quantize ?(digits = 9) x =

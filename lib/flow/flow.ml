@@ -152,19 +152,12 @@ let solve_net ?obs ?adaptive ~tech ~dt ~edge ~size c =
     Driver_model.model_pade ?obs ~cell ~edge ~input_slew:c.q_slew ~pade:c.q_pade ~line:c.q_line
       ~cl:c.q_cl ()
   in
-  let _, far =
-    Reference.replay_pwl ?obs ~dt ?adaptive ~pwl:model.Driver_model.pwl ~line:c.q_line
-      ~cl:c.q_cl ()
-  in
-  let vdd = model.Driver_model.vdd in
   (* The model waveform lives in the normalized rising domain; t = 0 is the
      driver-input 50 % crossing, so the far-end 50 % time IS the stage
      delay (same convention as Rlc_sta.analyze). *)
-  let stage_delay = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
-  let far_slew =
-    match Measure.slew_10_90 far ~vdd ~edge:Measure.Rising with
-    | Some s -> s
-    | None -> invalid_arg "Rlc_flow.Flow: far-end replay never completed 10-90"
+  let stage_delay, far_slew =
+    Reference.replay_far ?obs ~dt ?adaptive ~vdd:model.Driver_model.vdd
+      ~pwl:model.Driver_model.pwl ~line:c.q_line ~cl:c.q_cl ()
   in
   { model; stage_delay; far_slew; iterations = Driver_model.total_iterations model }
 

@@ -61,7 +61,9 @@ val create_cache : unit -> solve Cache.t
 (** A cache that can be shared across {!run_cfg} invocations (warm
     re-timing), including across {e concurrent} requests of a resident
     [Rlc_service.Session] — it is sharded ({!Cache.create}) so parallel
-    requests contend per shard, not on one global lock. *)
+    requests contend per shard, not on one global lock, and bounded at
+    {!Cache.default_capacity} entries, so a resident session's cache stays
+    the same size however many distinct solves it serves. *)
 
 (** The whole knob surface of a flow run as one record, replacing the old
     eight-optional-argument {!run} convention.  Build configurations with

@@ -313,6 +313,7 @@ let dispatch t ~deadline ~trace (kind : Protocol.kind) :
                   ("entries", Json.Int s.Session.cache_entries);
                   ("hits", Json.Int s.Session.cache_hits);
                   ("misses", Json.Int s.Session.cache_misses);
+                  ("evictions", Json.Int s.Session.cache_evictions);
                   ("shards", Telemetry.shards_json (Session.shard_stats t.session));
                 ] );
             ( "designs",

@@ -113,6 +113,7 @@ type stats = {
   cache_entries : int;
   cache_hits : int;
   cache_misses : int;
+  cache_evictions : int;
 }
 
 type design_store_stats = {
@@ -164,6 +165,7 @@ let stats t =
     cache_entries = Rlc_flow.Cache.length t.cache;
     cache_hits = Rlc_flow.Cache.hits t.cache;
     cache_misses = Rlc_flow.Cache.misses t.cache;
+    cache_evictions = Rlc_flow.Cache.evictions t.cache;
   }
 
 let with_lock m f =

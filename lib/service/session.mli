@@ -197,6 +197,7 @@ type stats = {
   cache_entries : int;  (** Ceff cache population *)
   cache_hits : int;  (** cumulative since [create] *)
   cache_misses : int;
+  cache_evictions : int;  (** entries the bounded cache dropped to make room *)
 }
 
 type design_store_stats = {

@@ -27,6 +27,7 @@ let shard_json (s : Cache.shard_stat) =
       ("entries", Json.Int s.Cache.s_length);
       ("hits", Json.Int s.Cache.s_hits);
       ("misses", Json.Int s.Cache.s_misses);
+      ("evictions", Json.Int s.Cache.s_evictions);
     ]
 
 let shards_json shards = Json.List (Array.to_list (Array.map shard_json shards))
@@ -174,6 +175,8 @@ let prometheus ~(stats : Session.stats) ~shards ~(designs : Session.design_store
     stats.Session.cache_hits;
   counter "service_cache_misses_total" "Ceff cache misses since start."
     stats.Session.cache_misses;
+  counter "service_cache_evictions_total" "Ceff cache evictions since start."
+    stats.Session.cache_evictions;
   let ch, cm, cs = Rlc_liberty.Characterize.stats () in
   counter "service_char_hits_total" "Characterization-memo hits since start." ch;
   counter "service_char_misses_total" "Characterization-memo misses since start." cm;
@@ -297,6 +300,7 @@ let metrics_fields ~session ~server ~window () =
           ("entries", Json.Int stats.Session.cache_entries);
           ("hits", Json.Int stats.Session.cache_hits);
           ("misses", Json.Int stats.Session.cache_misses);
+          ("evictions", Json.Int stats.Session.cache_evictions);
           ("shards", shards_json shards);
         ] );
     ( "characterization",

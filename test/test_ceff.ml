@@ -485,42 +485,45 @@ let test_default_t_stop_covers_table1 () =
         >= 20. *. Line.time_of_flight case.Evaluate.line -. 1e-15))
     Experiments.table1
 
+(* Cases for the early-stop oracles: every Table-1 row, plus a stride
+   through the Figure-7 grid, the cases on either side of the screen's
+   Rs/Z0 = 1 edge, and the weakest driver (25X) on the longest (7 mm)
+   lines. *)
+let stop_oracle_cases =
+  lazy
+    (let sweep = Experiments.sweep_cases () in
+     let rs_over_z0 (c : Evaluate.case) =
+       let m =
+         Driver_model.model ~cell:(cell_exn c.Evaluate.tech ~size:c.Evaluate.size)
+           ~edge:Measure.Rising ~input_slew:c.Evaluate.input_slew ~line:c.Evaluate.line
+           ~cl:c.Evaluate.cl ()
+       in
+       m.Driver_model.screen.Screen.rs_over_z0
+     in
+     let closest_to_one keep =
+       let scored =
+         List.filter (fun (r, _) -> keep r) (List.map (fun c -> (rs_over_z0 c, c)) sweep)
+       in
+       let key (r, _) = Float.abs (r -. 1.) in
+       snd (List.fold_left (fun a b -> if key b < key a then b else a) (List.hd scored) scored)
+     in
+     let weakest_long =
+       List.filter
+         (fun c ->
+           String.starts_with ~prefix:"7/" c.Evaluate.label
+           && String.ends_with ~suffix:" 25x s200" c.Evaluate.label)
+         sweep
+     in
+     List.map Experiments.case_of_row Experiments.table1
+     @ List.filteri (fun i _ -> i mod 53 = 0) sweep
+     @ [ closest_to_one (fun r -> r < 1.); closest_to_one (fun r -> r >= 1.) ]
+     @ weakest_long)
+
 (* The default reference run ends right after its last measured crossing;
    every number it reports must be bitwise the full window's, from fewer
-   samples.  Cases: every Table-1 row, plus a stride through the Figure-7
-   grid, the cases on either side of the screen's Rs/Z0 = 1 edge, and the
-   weakest driver (25X) on the longest (7 mm) lines. *)
+   samples. *)
 let test_reference_stop_matches_full_window () =
   let bits = Int64.bits_of_float in
-  let sweep = Experiments.sweep_cases () in
-  let rs_over_z0 (c : Evaluate.case) =
-    let m =
-      Driver_model.model ~cell:(cell_exn c.Evaluate.tech ~size:c.Evaluate.size)
-        ~edge:Measure.Rising ~input_slew:c.Evaluate.input_slew ~line:c.Evaluate.line
-        ~cl:c.Evaluate.cl ()
-    in
-    m.Driver_model.screen.Screen.rs_over_z0
-  in
-  let closest_to_one keep =
-    let scored =
-      List.filter (fun (r, _) -> keep r) (List.map (fun c -> (rs_over_z0 c, c)) sweep)
-    in
-    let key (r, _) = Float.abs (r -. 1.) in
-    snd (List.fold_left (fun a b -> if key b < key a then b else a) (List.hd scored) scored)
-  in
-  let weakest_long =
-    List.filter
-      (fun c ->
-        String.starts_with ~prefix:"7/" c.Evaluate.label
-        && String.ends_with ~suffix:" 25x s200" c.Evaluate.label)
-      sweep
-  in
-  let cases =
-    List.map Experiments.case_of_row Experiments.table1
-    @ List.filteri (fun i _ -> i mod 53 = 0) sweep
-    @ [ closest_to_one (fun r -> r < 1.); closest_to_one (fun r -> r >= 1.) ]
-    @ weakest_long
-  in
   List.iter
     (fun (c : Evaluate.case) ->
       let input_slew = c.Evaluate.input_slew and line = c.Evaluate.line in
@@ -548,7 +551,93 @@ let test_reference_stop_matches_full_window () =
       Alcotest.(check bool)
         (c.Evaluate.label ^ ": fewer samples") true
         (Waveform.length stopped.Reference.near < Waveform.length full.Reference.near))
-    cases
+    (Lazy.force stop_oracle_cases)
+
+(* A full-window [replay_pwl]'s far end and the engine steps it took. *)
+let full_replay ?adaptive ~dt ~pwl ~line ~cl () =
+  let obs = Rlc_obs.Obs.create () in
+  let _, far = Reference.replay_pwl ~obs ?adaptive ~dt ~pwl ~line ~cl () in
+  (far, Rlc_obs.Obs.counter (Rlc_obs.Obs.snapshot obs) "engine.steps")
+
+(* [Reference.replay_far]'s oracle: a full-window far end measured the way
+   the flow and Sta measured it before the stop. *)
+let measure_far ~vdd far =
+  let delay = Measure.t_frac_exn far ~vdd ~edge:Measure.Rising ~frac:0.5 in
+  match Measure.slew_10_90 far ~vdd ~edge:Measure.Rising with
+  | Some s -> (delay, s)
+  | None -> invalid_arg "Reference.replay_far: far end never completed 10-90"
+
+(* Runs [replay_far] under a fresh obs and returns its outcome plus the
+   (steps, early stops) it counted. *)
+let traced_replay_far ?adaptive ~dt ~vdd ~pwl ~line ~cl () =
+  let obs = Rlc_obs.Obs.create () in
+  let out =
+    match Reference.replay_far ~obs ?adaptive ~dt ~vdd ~pwl ~line ~cl () with
+    | v -> Ok v
+    | exception Invalid_argument msg -> Error msg
+  in
+  let m = Rlc_obs.Obs.snapshot obs in
+  (out, Rlc_obs.Obs.counter m "engine.steps", Rlc_obs.Obs.counter m "engine.early_stops")
+
+(* The far-end replay stops after its far end's 10/50/90 % crossings, so
+   delay and slew must be bitwise the full window's, from fewer steps, on
+   the driver-model waveforms of the oracle cases, fixed and adaptive. *)
+let test_replay_far_matches_full_window () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (c : Evaluate.case) ->
+      let m =
+        Driver_model.model ~cell:(cell_exn c.Evaluate.tech ~size:c.Evaluate.size)
+          ~edge:Measure.Rising ~input_slew:c.Evaluate.input_slew ~line:c.Evaluate.line
+          ~cl:c.Evaluate.cl ()
+      in
+      let pwl = m.Driver_model.pwl and vdd = m.Driver_model.vdd
+      and line = c.Evaluate.line and cl = c.Evaluate.cl in
+      List.iter
+        (fun (mode, adaptive) ->
+          let ctx = Printf.sprintf "%s (%s)" c.Evaluate.label mode in
+          let dt = 0.5e-12 in
+          let far, full_steps = full_replay ?adaptive ~dt ~pwl ~line ~cl () in
+          let want_d, want_s = measure_far ~vdd far in
+          match traced_replay_far ?adaptive ~dt ~vdd ~pwl ~line ~cl () with
+          | Error msg, _, _ -> Alcotest.failf "%s: stopped replay raised %s" ctx msg
+          | Ok (d, s), steps, stops ->
+              if bits d <> bits want_d || bits s <> bits want_s then
+                Alcotest.failf "%s: (%.17g, %.17g) stopped <> (%.17g, %.17g) full window" ctx
+                  d s want_d want_s;
+              Alcotest.(check int) (ctx ^ ": one early stop") 1 stops;
+              Alcotest.(check bool) (ctx ^ ": fewer steps") true (steps < full_steps))
+        [ ("fixed", None); ("adaptive", Some (Rlc_circuit.Engine.default_adaptive ())) ])
+    (Lazy.force stop_oracle_cases)
+
+(* A far-end level the window never reaches runs the whole window and
+   raises the full-window measurement's error: a 2 ns RC line reaches 50 %
+   but not 90 % within the replay's 1 ns tail, a 1 µs one not even 10 %. *)
+let test_replay_far_unreached_level () =
+  let pwl = Pwl.ramp ~t0:0. ~v0:0. ~v1:1.8 ~transition:100e-12 in
+  let vdd = 1.8 and dt = 0.5e-12 and cl = 10e-15 in
+  List.iter
+    (fun (what, r, expect_50) ->
+      let line = Line.of_totals ~r ~l:1e-12 ~c:1e-12 ~length:1e-3 in
+      let far, full_steps = full_replay ~dt ~pwl ~line ~cl () in
+      Alcotest.(check bool)
+        (what ^ ": full window reaches 50 % as intended") expect_50
+        (Measure.t_frac far ~vdd ~edge:Measure.Rising ~frac:0.5 <> None);
+      Alcotest.(check bool)
+        (what ^ ": full window never reaches 90 %") true
+        (Measure.t_frac far ~vdd ~edge:Measure.Rising ~frac:0.9 = None);
+      let want =
+        match measure_far ~vdd far with
+        | _ -> Alcotest.failf "%s: oracle did not raise" what
+        | exception Invalid_argument msg -> msg
+      in
+      match traced_replay_far ~dt ~vdd ~pwl ~line ~cl () with
+      | Ok _, _, _ -> Alcotest.failf "%s: stopped replay did not raise" what
+      | Error msg, steps, stops ->
+          Alcotest.(check string) (what ^ ": same error") want msg;
+          Alcotest.(check int) (what ^ ": not counted as a stop") 0 stops;
+          Alcotest.(check int) (what ^ ": whole window stepped") full_steps steps)
+    [ ("2 ns RC", 2000., true); ("1 us RC", 1e6, false) ]
 
 let test_adaptive_matches_fixed_on_table1 () =
   (* Acceptance bar for the adaptive engine: on a Table-1 case the reference
@@ -669,6 +758,10 @@ let () =
             test_adaptive_matches_fixed_on_table1;
           Alcotest.test_case "early stop = full-window oracle (Table 1, Fig. 7)" `Quick
             test_reference_stop_matches_full_window;
+          Alcotest.test_case "replay_far = full-window replay_pwl (Table 1, Fig. 7)" `Quick
+            test_replay_far_matches_full_window;
+          Alcotest.test_case "replay_far unreached level = full window, same error" `Quick
+            test_replay_far_unreached_level;
         ] );
       ( "sweep",
         [ Alcotest.test_case "jobs-parallel sweep deterministic" `Slow test_sweep_jobs_deterministic ] );

@@ -317,6 +317,99 @@ let test_cache_quantize () =
   Alcotest.(check (float 1e-30)) "snaps to grid" 100e-12 (qs 100.04e-12);
   Alcotest.(check bool) "same bucket same key" true (qs 50.01e-12 = qs 49.99e-12)
 
+let fill c keys = List.iter (fun k -> ignore (Cache.find_or_add c k (fun () -> k))) keys
+let keys prefix n = List.init n (Printf.sprintf "%s%d" prefix)
+
+let test_cache_bounded_shards () =
+  (* capacity / shards entries per shard, however many distinct keys
+     arrive; a capacity below the shard count keeps one entry per shard. *)
+  List.iter
+    (fun (shards, capacity, per_shard) ->
+      let c : string Cache.t = Cache.create ~shards ~capacity () in
+      fill c (keys "k" 2000);
+      Array.iteri
+        (fun i s ->
+          if s.Cache.s_length > per_shard then
+            Alcotest.failf "shards %d / capacity %d: shard %d holds %d > %d" shards capacity i
+              s.Cache.s_length per_shard)
+        (Cache.shard_stats c);
+      Alcotest.(check bool)
+        (Printf.sprintf "shards %d / capacity %d: bounded" shards capacity)
+        true
+        (Cache.length c <= shards * per_shard))
+    [ (4, 32, 8); (16, 16, 1); (16, 4, 1); (16, Cache.default_capacity, 128) ]
+
+let test_cache_evictions_reconcile () =
+  let c : string Cache.t = Cache.create ~shards:4 ~capacity:64 () in
+  fill c (keys "k" 500);
+  Alcotest.(check int) "misses" 500 (Cache.misses c);
+  Alcotest.(check int) "evictions = misses - length" (Cache.misses c - Cache.length c)
+    (Cache.evictions c);
+  let stats = Cache.shard_stats c in
+  Array.iteri
+    (fun i s ->
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d: evictions = misses - length" i)
+        (s.Cache.s_misses - s.Cache.s_length) s.Cache.s_evictions)
+    stats;
+  Alcotest.(check int) "shard evictions sum to evictions" (Cache.evictions c)
+    (Array.fold_left (fun acc s -> acc + s.Cache.s_evictions) 0 stats);
+  Cache.clear c;
+  Alcotest.(check int) "clear resets evictions" 0 (Cache.evictions c);
+  fill c (keys "k" 10);
+  Alcotest.(check int) "a cleared cache refills without evicting" 10 (Cache.length c)
+
+(* Single-shard caches make the clock's victims predictable. *)
+let test_cache_second_chance () =
+  let c : string Cache.t = Cache.create ~shards:1 ~capacity:8 () in
+  let hit k =
+    snd (Cache.find_or_add c k (fun () -> Alcotest.failf "%s recomputed" k))
+  in
+  fill c (keys "a" 8);
+  Alcotest.(check bool) "a3 hit between sweeps" true (hit "a3");
+  (* A second sweep of 7 new keys: the hand passes a3 once, clearing its
+     bit, and evicts every other first-sweep key. *)
+  fill c (keys "b" 7);
+  Alcotest.(check int) "full" 8 (Cache.length c);
+  Alcotest.(check bool) "a3 survives one clock pass" true (hit "a3");
+  let _, a0_hit = Cache.find_or_add c "a0" (fun () -> "a0") in
+  Alcotest.(check bool) "an unreferenced key was evicted" false a0_hit;
+  (* Without another hit, a3's second chance is spent on the next pass. *)
+  let c : string Cache.t = Cache.create ~shards:1 ~capacity:8 () in
+  fill c (keys "a" 8);
+  ignore (hit "a3");
+  fill c (keys "b" 7);
+  fill c (keys "c" 8);
+  let _, a3_hit = Cache.find_or_add c "a3" (fun () -> "a3") in
+  Alcotest.(check bool) "a3 evicted after a pass without hits" false a3_hit
+
+let test_cache_remiss_bitwise () =
+  (* A re-miss after eviction recomputes the bit-identical solve. *)
+  let d = Lazy.force design in
+  let cache : Flow.solve Cache.t = Cache.create ~shards:1 ~capacity:1 () in
+  let cfg = Flow.Config.with_cache cache Flow.Config.default in
+  let solve (net : Design.net) =
+    Flow.solve_sized cfg ~tech:d.Design.tech ~net ~size:net.Design.size
+      ~edge:Rlc_waveform.Measure.Rising ~input_slew:100e-12
+  in
+  let b0 = d.Design.nets.(0) and o0 = d.Design.nets.(2) in
+  let first = solve b0 in
+  ignore (solve o0);
+  let again = solve b0 in
+  Alcotest.(check int) "every solve missed" 3 (Cache.misses cache);
+  Alcotest.(check int) "two evictions" 2 (Cache.evictions cache);
+  Alcotest.(check bool) "recomputed, not the evicted value" true (first != again);
+  let bits = Int64.bits_of_float in
+  Alcotest.(check bool) "bitwise-equal delay and slew" true
+    (bits first.Flow.stage_delay = bits again.Flow.stage_delay
+    && bits first.Flow.far_slew = bits again.Flow.far_slew
+    && first.Flow.iterations = again.Flow.iterations);
+  let pwl (s : Flow.solve) = Rlc_waveform.Pwl.points s.Flow.model.Rlc_ceff.Driver_model.pwl in
+  Alcotest.(check bool) "bitwise-equal model waveform" true
+    (List.for_all2
+       (fun (t, v) (t', v') -> bits t = bits t' && bits v = bits v')
+       (pwl first) (pwl again))
+
 (* -------------------------------------------------------------- flow *)
 
 (* All flow tests drive the Config record directly — it is the only entry
@@ -431,6 +524,110 @@ let test_flow_borrowed_pool () =
         (Report.json_string r1);
       Alcotest.(check string) "pool reusable across runs" (Report.json_string r1)
         (Report.json_string r2))
+
+(* dune runtest runs from _build/default/test/ (examples one up, staged by
+   the (deps ...) in test/dune); dune exec from the project root. *)
+let fixture name =
+  if Sys.file_exists (Filename.concat "examples" name) then Filename.concat "examples" name
+  else Filename.concat "../examples" name
+
+let ingest_sources ~spef ~spec =
+  match spef_parse spef, spec_parse spec with
+  | Ok spef, Ok spec -> (
+      match Design.ingest ~spef ~spec () with Ok d -> d | Error e -> failwith e)
+  | Error e, _ | _, Error e -> failwith e
+
+let bus8 =
+  lazy
+    (let read name = In_channel.with_open_bin (fixture name) In_channel.input_all in
+     ingest_sources ~spef:(read "bus8.spef") ~spec:(read "bus8.spec"))
+
+(* 16 bus bits, each into a local net, every bit's capacitance distinct so
+   the 32 nets make ~32 distinct cache keys. *)
+let bus16 =
+  lazy
+    (let spef = Buffer.create 8192 and spec = Buffer.create 1024 in
+     Buffer.add_string spef
+       "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"bus16\"\n*T_UNIT 1 PS\n*C_UNIT 1 FF\n\
+        *R_UNIT 1 OHM\n*L_UNIT 1 PH\n";
+     for i = 0 to 15 do
+       let c = 120 + (10 * i) in
+       Printf.bprintf spef
+         "*D_NET b%d %d\n*CONN\n*P b%d_drv O\n*P b%d_rcv I\n*CAP\n1 b%d_1 %d\n2 b%d_rcv %d\n\
+          *RES\n1 b%d_drv b%d_1 30\n2 b%d_1 b%d_rcv 30\n*INDUC\n1 b%d_drv b%d_1 1500\n\
+          2 b%d_1 b%d_rcv 1500\n*END\n"
+         i (2 * c) i i i c i c i i i i i i i i;
+       Printf.bprintf spef
+         "*D_NET o%d 90\n*CONN\n*P o%d_drv O\n*P o%d_rcv I\n*CAP\n1 o%d_1 45\n2 o%d_rcv 45\n\
+          *RES\n1 o%d_drv o%d_1 60\n2 o%d_1 o%d_rcv 60\n*END\n"
+         i i i i i i i i i;
+       Printf.bprintf spec
+         "driver b%d 75\ninput b%d 100\ndriver o%d 50\nedge b%d b%d_rcv o%d\nload o%d o%d_rcv 5\n"
+         i i i i i i i i
+     done;
+     ingest_sources ~spef:(Buffer.contents spef) ~spec:(Buffer.contents spec))
+
+(* Eviction never reaches a report: a cache of one entry per shard, which
+   thrashes, gives the default cache's bytes at any jobs count. *)
+let test_flow_bounded_cache_reports () =
+  List.iter
+    (fun (name, d, overflows) ->
+      let d = Lazy.force d in
+      let reference = run ~jobs:1 d in
+      List.iter
+        (fun jobs ->
+          let cache : Flow.solve Cache.t = Cache.create ~capacity:16 () in
+          let r = run ~jobs ~cache d in
+          let ctx = Printf.sprintf "%s, capacity 16, jobs %d" name jobs in
+          Alcotest.(check string) (ctx ^ ": json") (Report.json_string reference)
+            (Report.json_string r);
+          Alcotest.(check string) (ctx ^ ": csv") (Report.csv_string reference)
+            (Report.csv_string r);
+          Alcotest.(check bool) (ctx ^ ": one entry per shard") true (Cache.length cache <= 16);
+          if overflows then
+            Alcotest.(check bool) (ctx ^ ": evicted") true (Cache.evictions cache > 0);
+          Alcotest.(check string) (ctx ^ ": default cache json") (Report.json_string reference)
+            (Report.json_string (run ~jobs d)))
+        [ 1; 2 ])
+    [ ("bus8", bus8, false); ("bus16", bus16, true) ]
+
+(* Every bus8 net's solve is the full-window replay of its canonical
+   inputs, measured as before the far-end stop: the quantized line and
+   load ([Flow]'s canonicalization) under the solve's model waveform. *)
+let test_flow_replay_far_oracle () =
+  let d = Lazy.force bus8 in
+  let q = Cache.quantize ~digits:Flow.Config.default.Flow.Config.quantize_digits in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (mode, adaptive) ->
+      let cfg = { Flow.Config.default with Flow.Config.jobs = Some 1; adaptive } in
+      let r = Flow.run_cfg cfg d in
+      Array.iter
+        (fun (nr : Flow.net_result) ->
+          let net = nr.Flow.net in
+          let line = net.Design.eq_line in
+          let line =
+            Rlc_tline.Line.of_totals
+              ~r:(q (Rlc_tline.Line.total_r line))
+              ~l:(q (Rlc_tline.Line.total_l line))
+              ~c:(q (Rlc_tline.Line.total_c line))
+              ~length:line.Rlc_tline.Line.length
+          in
+          let model = nr.Flow.solve.Flow.model in
+          let vdd = model.Rlc_ceff.Driver_model.vdd in
+          let _, far =
+            Rlc_ceff.Reference.replay_pwl ?adaptive ~dt:cfg.Flow.Config.dt
+              ~pwl:model.Rlc_ceff.Driver_model.pwl ~line ~cl:(q net.Design.cl) ()
+          in
+          let module M = Rlc_waveform.Measure in
+          let delay = M.t_frac_exn far ~vdd ~edge:M.Rising ~frac:0.5 in
+          let slew = Option.get (M.slew_10_90 far ~vdd ~edge:M.Rising) in
+          let s = nr.Flow.solve in
+          if bits delay <> bits s.Flow.stage_delay || bits slew <> bits s.Flow.far_slew then
+            Alcotest.failf "%s %s: flow (%.17g, %.17g) <> full window (%.17g, %.17g)" mode
+              net.Design.name s.Flow.stage_delay s.Flow.far_slew delay slew)
+        r.Flow.results)
+    [ ("fixed", None); ("adaptive", Some (Rlc_circuit.Engine.default_adaptive ())) ]
 
 (* ------------------------------------------------------------- delta *)
 
@@ -573,6 +770,10 @@ let () =
           Alcotest.test_case "basics" `Quick test_cache_basics;
           Alcotest.test_case "sharded concurrent" `Quick test_cache_sharded_concurrent;
           Alcotest.test_case "quantize" `Quick test_cache_quantize;
+          Alcotest.test_case "bounded per shard" `Quick test_cache_bounded_shards;
+          Alcotest.test_case "evictions reconcile" `Quick test_cache_evictions_reconcile;
+          Alcotest.test_case "second chance" `Quick test_cache_second_chance;
+          Alcotest.test_case "re-miss is bitwise equal" `Quick test_cache_remiss_bitwise;
         ] );
       ( "flow",
         [
@@ -582,6 +783,10 @@ let () =
           Alcotest.test_case "stats and report" `Quick test_flow_stats_and_report;
           Alcotest.test_case "config defaults" `Quick test_flow_config_defaults;
           Alcotest.test_case "borrowed pool" `Quick test_flow_borrowed_pool;
+          Alcotest.test_case "bounded cache keeps reports" `Quick
+            test_flow_bounded_cache_reports;
+          Alcotest.test_case "far-end stop = full-window replay (bus8)" `Quick
+            test_flow_replay_far_oracle;
         ] );
       ( "delta",
         [

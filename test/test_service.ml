@@ -911,7 +911,7 @@ let test_server_metrics_prometheus () =
             ("shard " ^ f ^ " reconcile")
             (Some (shard_sum f))
             (Json.get_int (member f cache)))
-        [ "entries"; "hits"; "misses" ];
+        [ "entries"; "hits"; "misses"; "evictions" ];
       (* Metrics: exact totals from the session atomics (the 4 requests
          above; the metrics request itself is not yet finished), per-kind
          counters from the freshest window sample. *)
@@ -975,6 +975,101 @@ let test_server_metrics_prometheus () =
         (prom_sample samples2 {|service_requests_kind_total{kind="metrics"}|});
       Alcotest.(check (option int)) "scrapes still in exact totals" (Some 6)
         (Json.get_int (member "served" (member "totals" m2))))
+
+(* Soak: a resident design edited with more distinct primary-input slews
+   than the Ceff cache holds.  The cache stays at its bound, reports its
+   evictions through [metrics] and Prometheus, and the last delta's report
+   is still byte-identical to a cold flow of the edited sources. *)
+let test_server_cache_soak () =
+  Session.with_session (fun session ->
+      let server = Server.create ~timeout_s:0. ~tick_period_s:0. session in
+      let request fields =
+        let j = fst (send server (Json.to_string (Json.Obj fields))) in
+        Alcotest.(check (option bool)) "request ok" (Some true) (Json.get_bool (member "ok" j));
+        j
+      in
+      let loaded =
+        request
+          [
+            ("schema", Json.Str Protocol.schema_v2);
+            ("kind", Json.Str "design_load");
+            ("spef_file", Json.Str bus8_spef);
+            ("spec_file", Json.Str bus8_spec);
+          ]
+      in
+      let handle = Option.get (Json.get_string (member "handle" loaded)) in
+      let nets = [ "b0"; "b1"; "b2"; "b3" ] in
+      (* Edit j sets slew 10.0 + j / 10 ps, each a distinct cache key. *)
+      let slew_ps j = Printf.sprintf "%d.%d" (10 + (j / 10)) (j mod 10) in
+      let deltas = 520 in
+      let last = ref Json.Null in
+      for k = 0 to deltas - 1 do
+        last :=
+          request
+            [
+              ("schema", Json.Str Protocol.schema_v2);
+              ("kind", Json.Str "flow_delta");
+              ("handle", Json.Str handle);
+              ( "slews_ps",
+                Json.Obj
+                  (List.mapi
+                     (fun i net -> (net, Json.Float (float_of_string (slew_ps ((4 * k) + i)))))
+                     nets) );
+            ]
+      done;
+      let stats = Session.stats session in
+      Alcotest.(check bool)
+        (Printf.sprintf "more distinct edits (%d) than the cache holds" (4 * deltas))
+        true
+        (4 * deltas > Rlc_flow.Cache.default_capacity);
+      Alcotest.(check bool)
+        (Printf.sprintf "cache_entries %d <= %d" stats.Session.cache_entries
+           Rlc_flow.Cache.default_capacity)
+        true
+        (stats.Session.cache_entries <= Rlc_flow.Cache.default_capacity);
+      Alcotest.(check bool) "evictions > 0" true (stats.Session.cache_evictions > 0);
+      let m = request [ ("schema", Json.Str Protocol.schema); ("kind", Json.Str "metrics") ] in
+      let cache = member "cache" m in
+      Alcotest.(check (option int)) "metrics cache.evictions"
+        (Some stats.Session.cache_evictions)
+        (Json.get_int (member "evictions" cache));
+      (match member "shards" cache with
+      | Json.List shards ->
+          Alcotest.(check int) "shard evictions sum to cache.evictions"
+            stats.Session.cache_evictions
+            (List.fold_left
+               (fun acc sh -> acc + Option.get (Json.get_int (member "evictions" sh)))
+               0 shards)
+      | _ -> Alcotest.fail "metrics cache.shards is not a list");
+      let samples = validate_prometheus (Option.get (Json.get_string (member "prometheus" m))) in
+      Alcotest.(check (float 0.)) "service_cache_evictions_total"
+        (float_of_int stats.Session.cache_evictions)
+        (prom_sample samples "service_cache_evictions_total");
+      (* The ground truth: the final slews written into the spec, timed by
+         a cold v1 flow. *)
+      let final = List.mapi (fun i net -> (net, slew_ps ((4 * (deltas - 1)) + i))) nets in
+      let edited_spec =
+        String.concat "\n"
+          (List.map
+             (fun l ->
+               match String.split_on_char ' ' l with
+               | [ "input"; net; _ ] when List.mem_assoc net final ->
+                   Printf.sprintf "input %s %s" net (List.assoc net final)
+               | _ -> l)
+             (String.split_on_char '\n' (read_file bus8_spec)))
+      in
+      let cold =
+        request
+          [
+            ("schema", Json.Str Protocol.schema);
+            ("kind", Json.Str "flow");
+            ("spef_file", Json.Str bus8_spef);
+            ("spec", Json.Str edited_spec);
+          ]
+      in
+      Alcotest.(check string) "last delta report = cold flow"
+        (Option.get (Json.get_string (member "report" cold)))
+        (Option.get (Json.get_string (member "report" !last))))
 
 let test_server_unix_telemetry () =
   (* The full transport with tracing on: jobs = 2 so flow spans are
@@ -1158,6 +1253,7 @@ let () =
           Alcotest.test_case "timeout" `Quick test_server_timeout;
           Alcotest.test_case "shutdown control" `Quick test_server_shutdown_control;
           Alcotest.test_case "design lifecycle" `Quick test_server_design_lifecycle;
+          Alcotest.test_case "bounded cache soak" `Quick test_server_cache_soak;
           Alcotest.test_case "schema echo" `Quick test_server_schema_echo;
           Alcotest.test_case "pipe mode" `Quick test_server_pipe_mode;
         ] );

@@ -777,14 +777,55 @@ let record_plan c record_nodes =
   in
   (col_of_node, rec_nodes)
 
+(* Stop entries, tested on the recorded samples by [check_stops]. *)
+type stop = Crossing of Waveform.direction * float | Max_final
+
+(* Max-final entries check the passivity bound every [max_final_stride]
+   recorded steps (a power of two) and require it to clear the running
+   maximum by [max_final_margin] volts. *)
+let max_final_stride = 16
+let max_final_margin = 1e-6
+
+(* What a max-final entry needs once the sources have settled: the
+   settle time, the settled node voltages, and per stop entry its node's
+   capacitance to ground or forced nodes (0 for crossing entries). *)
+type probe = {
+  pr_c : compiled;
+  pr_settle : float;
+  pr_v : float array;
+  pr_cnode : float array;
+}
+
+(* Stored energy relative to the settled point, from the companion
+   history of the step just committed:
+   E = sum 1/2 C dv^2 over capacitor branches + sum 1/2 L i^2 over
+   inductors (the settled point carries no inductor current). *)
+let deviation_energy p =
+  let c = p.pr_c and v = p.pr_v in
+  let e = ref 0. in
+  for i = 0 to Array.length c.caps - 1 do
+    let cc = c.caps.(i) in
+    let d = cc.hist.v_prev -. (v.(cc.n1) -. v.(cc.n2)) in
+    e := !e +. (cc.value *. d *. d)
+  done;
+  for i = 0 to Array.length c.inds - 1 do
+    let l = c.inds.(i) in
+    let d = l.hist.i_prev in
+    e := !e +. (l.value *. d *. d)
+  done;
+  0.5 *. !e
+
 (* Recording shared by both step cores: one sample of the recorded nodes
-   per accepted step, plus the optional stop list.  Each entry's test is
-   exactly [Waveform.crossings]' Rising ([prev < l && cur >= l]) or Falling
-   ([prev > l && cur <= l]) predicate on the last two samples of its
-   column; an entry that fires leaves the pending count, and the run stops
-   on the step that empties it, so a stopped run's samples are the prefix
-   of the unstopped run up to and including the last entry's first
-   crossing interval.  A run that cannot stop early and knows its length
+   per accepted step, plus the optional stop list.  A [Crossing] entry's
+   test is exactly [Waveform.crossings]' Rising ([prev < l && cur >= l]) or
+   Falling ([prev > l && cur <= l]) predicate on the last two samples of
+   its column.  A [Max_final] entry keeps its column's running maximum and,
+   every [max_final_stride] samples once the sources have settled, fires
+   when the passivity bound proves no later sample can exceed it (never
+   without a [probe]).  An entry that fires leaves the pending count, and the run
+   stops on the step that empties it, so a stopped run's samples are the
+   prefix of the unstopped run up to and including the step that satisfied
+   the last entry.  A run that cannot stop early and knows its length
    ([exact_len], fixed step) allocates its buffers once; otherwise they
    double on demand (amortized O(1), no per-step allocation), capped at
    [exact_len] when known. *)
@@ -795,20 +836,106 @@ type recorder = {
   mutable r_times : float array;
   mutable r_cols : float array array;
   mutable r_len : int;
+  stop_nodes : int array;
   stop_cols : int array;  (* one column per stop entry *)
+  stop_max : bool array;  (* Max_final entries *)
   stop_rising : bool array;
-  stop_levels : float array;
+  stop_levels : float array;  (* crossing level, or the running maximum *)
   stop_hit : bool array;
-  mutable pending : int;  (* entries still waiting for their crossing *)
+  mutable pending : int;  (* entries not yet satisfied *)
   mutable stop_step : int;  (* -1 until the last pending entry fires *)
+  probe : probe option;  (* None: max-final entries never fire *)
 }
 
-let make_recorder c ~record_nodes ~stop_after ~exact_len =
+(* The settled point of a circuit whose sources have settled at [settle]:
+   a group of unknown nodes joined by resistors and inductors sits at the
+   voltage of the fixed (ground or forced) nodes it touches when they all
+   agree, with no current in any resistor or inductor.  [None] when that
+   point is not unique or carries current: a group touches no fixed node
+   (it floats through capacitors or coupled groups), touches fixed nodes
+   at different voltages, or an inductor joins two fixed nodes. *)
+let settled_point c settle =
+  let fixed n = c.unknown_of_node.(n) < 0 in
+  (* Union-find over the resistor and inductor edges between unknown
+     nodes. *)
+  let root = Array.init c.n_nodes Fun.id in
+  let rec find n =
+    let p = root.(n) in
+    if p = n then n
+    else begin
+      let r = find p in
+      root.(n) <- r;
+      r
+    end
+  in
+  let edges =
+    Array.append
+      (Array.map (fun (r : resistor) -> (r.rn1, r.rn2)) c.resistors)
+      (Array.map (fun (l : companion) -> (l.n1, l.n2)) c.inds)
+  in
+  Array.iter (fun (a, b) -> if not (fixed a || fixed b) then root.(find a) <- find b) edges;
+  let v = Array.make c.n_nodes 0. in
+  update_forced c v settle;
+  let level = Array.make c.n_nodes None and ok = ref true in
+  let touch g x =
+    match level.(g) with
+    | None -> level.(g) <- Some x
+    | Some y -> if not (Float.equal x y) then ok := false
+  in
+  Array.iter
+    (fun (a, b) ->
+      match (fixed a, fixed b) with
+      | false, true -> touch (find a) v.(b)
+      | true, false -> touch (find b) v.(a)
+      | _ -> ())
+    edges;
+  for n = 1 to c.n_nodes - 1 do
+    if not (fixed n) then
+      match level.(find n) with Some x -> v.(n) <- x | None -> ok := false
+  done;
+  if Array.exists (fun (l : companion) -> fixed l.n1 && fixed l.n2) c.inds then ok := false;
+  if !ok then Some v else None
+
+(* The probe for the max-final entries among [stop_nodes] ([stop_max]), if
+   there are any and the circuit qualifies for the passivity bound:
+   linear, no current sources or coupled groups (their stored energy is
+   not a plain sum of squares), every forced node a PWL with a known settle
+   time, and a unique settled point that carries no current.  The settled
+   voltages are then exact copies of source values, not a solve's rounded
+   output.  Otherwise there is no probe and the run covers its window. *)
+let max_final_probe c nl ~stop_nodes ~stop_max =
+  let qualifies =
+    Array.exists Fun.id stop_max
+    && Array.length c.nonlinears = 0
+    && Array.length c.isources = 0
+    && Array.length c.coupled = 0
+  in
+  match (if qualifies then Netlist.settle_time nl else None) with
+  | None -> None
+  | Some settle -> (
+      match settled_point c settle with
+      | None -> None
+      | Some v ->
+          let fixed n = c.unknown_of_node.(n) < 0 in
+          let cap_to_fixed n =
+            Array.fold_left
+              (fun acc (cc : companion) ->
+                if (cc.n1 = n && fixed cc.n2) || (cc.n2 = n && fixed cc.n1) then acc +. cc.value
+                else acc)
+              0. c.caps
+          in
+          let pr_cnode =
+            Array.mapi (fun i n -> if stop_max.(i) then cap_to_fixed n else 0.) stop_nodes
+          in
+          Some { pr_c = c; pr_settle = settle; pr_v = v; pr_cnode })
+
+(* The recorder for a run on compiled circuit [c] (netlist [nl]). *)
+let make_recorder c nl ~record_nodes ~stop_after ~exact_len =
   let col_of_node, rec_nodes = record_plan c record_nodes in
   let stops = Array.of_list stop_after in
   let stop_cols =
     Array.map
-      (fun (n, _, _) ->
+      (fun (n, _) ->
         if n < 0 || n >= c.n_nodes || col_of_node.(n) < 0 then
           invalid_arg "Engine.Compiled.run: stop_after node is not recorded";
         col_of_node.(n))
@@ -817,6 +944,8 @@ let make_recorder c ~record_nodes ~stop_after ~exact_len =
   let pending = Array.length stops in
   let max_len = Option.value exact_len ~default:max_int in
   let cap = if pending = 0 && exact_len <> None then max_len else Int.min max_len 256 in
+  let stop_nodes = Array.map fst stops
+  and stop_max = Array.map (function _, Max_final -> true | _, Crossing _ -> false) stops in
   {
     r_col_of_node = col_of_node;
     rec_nodes;
@@ -824,12 +953,17 @@ let make_recorder c ~record_nodes ~stop_after ~exact_len =
     r_times = Array.make cap 0.;
     r_cols = Array.map (fun _ -> Array.make cap 0.) rec_nodes;
     r_len = 0;
+    stop_nodes;
     stop_cols;
-    stop_rising = Array.map (fun (_, d, _) -> d = Waveform.Rising) stops;
-    stop_levels = Array.map (fun (_, _, l) -> l) stops;
+    stop_max;
+    stop_rising =
+      Array.map (function _, Crossing (Waveform.Rising, _) -> true | _ -> false) stops;
+    stop_levels =
+      Array.map (function _, Crossing (_, l) -> l | _, Max_final -> Float.neg_infinity) stops;
     stop_hit = Array.make pending false;
     pending;
     stop_step = -1;
+    probe = max_final_probe c nl ~stop_nodes ~stop_max;
   }
 
 let grow_recorder r =
@@ -843,13 +977,45 @@ let grow_recorder r =
   r.r_times <- regrow r.r_times;
   r.r_cols <- Array.map regrow r.r_cols
 
+(* Max-final entry [i] at sample [len]: fold the interval into its running
+   maximum [m], then, every [max_final_stride] samples once the sources
+   have settled, test the bound.  From then on the circuit is a passive
+   linear RLC network about its settled point, and a trapezoidal or
+   backward-Euler step never increases the stored energy E relative to
+   that point (Tellegen's theorem on the step's branch quantities: the
+   storage elements' energy change is minus the resistors' dissipation).
+   The capacitors C_k from node k to ground or forced nodes alone hold
+   1/2 C_k dv_k^2 <= E, so every later sample obeys
+   v_k <= v_inf + sqrt (2 E / C_k).  The entry is final once that bound
+   sits [max_final_margin] below [m]: the margin covers rounding in the
+   step solves. *)
+let max_final_hit r i len =
+  let col = r.r_cols.(r.stop_cols.(i)) in
+  let m = Float.max r.stop_levels.(i) (Float.max col.(len - 1) col.(len)) in
+  r.stop_levels.(i) <- m;
+  len land (max_final_stride - 1) = 0
+  &&
+  match r.probe with
+  | Some p when r.r_times.(len) >= p.pr_settle ->
+      let ck = p.pr_cnode.(i) in
+      ck > 0.
+      && p.pr_v.(r.stop_nodes.(i)) +. Float.sqrt (2. *. deviation_energy p /. ck)
+         < m -. max_final_margin
+  | _ -> false
+
 (* Test every pending entry on the interval ending at sample [len]. *)
 let check_stops r len =
   for i = 0 to Array.length r.stop_cols - 1 do
     if not r.stop_hit.(i) then begin
-      let col = r.r_cols.(r.stop_cols.(i)) and l = r.stop_levels.(i) in
-      let prev = col.(len - 1) and cur = col.(len) in
-      if (if r.stop_rising.(i) then prev < l && cur >= l else prev > l && cur <= l) then begin
+      let hit =
+        if r.stop_max.(i) then max_final_hit r i len
+        else begin
+          let col = r.r_cols.(r.stop_cols.(i)) and l = r.stop_levels.(i) in
+          let prev = col.(len - 1) and cur = col.(len) in
+          if r.stop_rising.(i) then prev < l && cur >= l else prev > l && cur <= l
+        end
+      in
+      if hit then begin
         r.stop_hit.(i) <- true;
         r.pending <- r.pending - 1
       end
@@ -1007,7 +1173,7 @@ let grow_margin = 0.25
 let adaptive_core ~obs ~opts ~record_nodes ~stop_after (a : adaptive) h =
   let c = h.h_c and t_stop = opts.t_stop in
   (* The accepted-step count is data-dependent, so the recorder grows. *)
-  let rc = make_recorder c ~record_nodes ~stop_after ~exact_len:None in
+  let rc = make_recorder c h.h_nl ~record_nodes ~stop_after ~exact_len:None in
   let vnode = Obs.time obs "engine.dc_solve" (fun () -> dc_for h opts) in
   init_companions c vnode;
   let n_nodes = c.n_nodes in
@@ -1158,7 +1324,7 @@ let fixed_core ~obs ~opts ~record_nodes ~stop_after h =
   (* Tiny epsilon guards float-division noise (1e-9 / 10e-12 is slightly
      above 100) from adding a spurious extra step. *)
   let n_steps = Int.max 1 (int_of_float (Float.ceil ((t_stop /. dt) -. 1e-9))) in
-  let rc = make_recorder c ~record_nodes ~stop_after ~exact_len:(Some (n_steps + 1)) in
+  let rc = make_recorder c h.h_nl ~record_nodes ~stop_after ~exact_len:(Some (n_steps + 1)) in
   let vnode = Obs.time obs "engine.dc_solve" (fun () -> dc_for h opts) in
   init_companions c vnode;
   record rc 0. vnode;

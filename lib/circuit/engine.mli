@@ -61,18 +61,61 @@ val default_adaptive : ?dt_min:float -> ?dt_max:float -> ?ltol:float -> unit -> 
 
 type result
 
+(** What a [stop_after] entry [(node, stop)] waits for on [node]'s
+    recorded samples (see {!Compiled.run}).
+
+    - [Crossing (direction, level)]: the node's first crossing of [level]
+      in [direction] — the {!Rlc_waveform.Waveform.crossings} test on
+      consecutive samples, [prev < level && cur >= level] for [Rising] and
+      [prev > level && cur <= level] for [Falling].
+    - [Max_final]: proof that the node's running maximum is final, i.e. no
+      later sample can exceed the largest one recorded so far.  The proof is
+      a passivity bound.  Once every source has settled the circuit is a
+      passive linear RLC network about its settled point [v_inf], and
+      neither trapezoidal nor backward-Euler steps ever increase the stored
+      energy relative to it,
+      [E = sum 1/2 C dv^2 (capacitor branches) + sum 1/2 L i^2 (inductors)]
+      (Tellegen's theorem on the step's branch quantities: the storage
+      elements' energy change is minus the resistors' dissipation).  The
+      capacitors [C_node] from the node to ground or to forced nodes hold
+      at most [E], so every later sample obeys
+      [v <= v_inf + sqrt (2 E / C_node)].  The entry is satisfied when that
+      bound sits 1 µV below the running maximum; the margin covers
+      rounding in the step solves.  The bound is evaluated every 16
+      recorded steps, and only when all of these hold:
+      {ul
+      {- the circuit has no nonlinear devices, current sources or
+         coupled-inductor groups;}
+      {- every forced node was declared with {!Netlist.force_pwl}, and the
+         step's time is at or past their latest end
+         ({!Netlist.settle_time}) — a {!Netlist.force_voltage} closure has
+         no known settle time;}
+      {- every unknown node reaches ground or a forced node through
+         resistors and inductors, so the settled point is unique, and no
+         inductor joins two forced nodes;}
+      {- the settled point carries no current: each group of unknown nodes
+         joined by resistors and inductors touches fixed nodes (ground or
+         forced) whose settled values are all equal.  The group then
+         settles at exactly that value with no inductor current, so
+         [v_inf] is copied from source values, free of a DC solve's
+         rounding;}
+      {- the node has capacitance to ground or forced nodes.}}
+      Otherwise the entry behaves like an unreached crossing and the run
+      covers its whole window. *)
+type stop = Crossing of Waveform.direction * float | Max_final
+
 val transient :
   ?obs:Rlc_obs.Obs.t ->
   ?options:options ->
   ?record_nodes:Netlist.node list ->
   ?adaptive:adaptive ->
-  ?stop_after:(Netlist.node * Waveform.direction * float) list ->
+  ?stop_after:(Netlist.node * stop) list ->
   dt:float ->
   t_stop:float ->
   Netlist.t ->
   result
 (** Runs DC operating point at [t = 0] then steps to [t_stop] — or, with
-    [stop_after], until every listed first crossing has happened (see
+    [stop_after], until every listed entry is satisfied (see
     {!Compiled.run}): exactly [Compiled.run] on [Compiled.compile netlist],
     a handle used once.
     Either pass a full [options] record or just [dt]/[t_stop].  Raises
@@ -172,7 +215,7 @@ module Compiled : sig
     ?options:options ->
     ?record_nodes:Netlist.node list ->
     ?adaptive:adaptive ->
-    ?stop_after:(Netlist.node * Waveform.direction * float) list ->
+    ?stop_after:(Netlist.node * stop) list ->
     dt:float ->
     t_stop:float ->
     handle ->
@@ -184,19 +227,18 @@ module Compiled : sig
       point is reused whenever the circuit is linear and every source's
       value at [t = 0] is bit-identical to the cached solve's.
 
-      [stop_after] lists first crossings [(node, direction, level)]; the
-      run ends right after the first recorded step by which every entry's
-      node has crossed its level in its direction — the
-      {!Rlc_waveform.Waveform.crossings} test on consecutive samples,
-      [prev < level && cur >= level] for [Rising] and
-      [prev > level && cur <= level] for [Falling] — in fixed-step, Newton
-      and adaptive runs alike.  The result's times and waveforms are then
-      exactly the unstopped run's prefix up to that step, so every listed
-      first crossing — and any other first crossing completed by then —
-      reads the same bits as the full run, while nothing after that step
-      is present.  An entry that is never reached yields the unstopped
-      result, as does [[]] (the default).  Every listed node must be
-      recorded (see [record_nodes]), else [Invalid_argument].  Stoppable
+      [stop_after] lists [(node, stop)] entries (see {!stop}); the run ends
+      right after the first recorded step by which every entry is
+      satisfied — each listed first crossing has happened and each listed
+      running maximum is proven final — in fixed-step, Newton and adaptive
+      runs alike.  The result's times and waveforms are then exactly the
+      unstopped run's prefix up to that step, so every listed first
+      crossing — and any other first crossing completed by then — and
+      every [Max_final] node's maximum read the same bits as the full run,
+      while nothing after that step is present.  An entry that is never
+      satisfied yields the unstopped result, as does [[]] (the default).
+      Every listed node must be recorded (see [record_nodes]), else
+      [Invalid_argument].  Stoppable
       runs grow their buffers on demand rather than sizing them for
       [t_stop]; [steps], [newton_total] and the [obs] counters count only
       the steps executed.  With [obs], the step-loop span carries a

@@ -30,11 +30,20 @@ type t = {
   mutable elems : element list;  (* reversed *)
   mutable forced : (node * (float -> float)) list;
   mutable breakpoints : float list;  (* source kink times, unsorted *)
+  mutable settle : float option;  (* None once a closure source is forced *)
   mutable counter : int;
 }
 
 let create () =
-  { names = [ "gnd" ]; n_nodes = 1; elems = []; forced = []; breakpoints = []; counter = 0 }
+  {
+    names = [ "gnd" ];
+    n_nodes = 1;
+    elems = [];
+    forced = [];
+    breakpoints = [];
+    settle = Some 0.;
+    counter = 0;
+  }
 
 let node t name =
   let id = t.n_nodes in
@@ -121,7 +130,7 @@ let coupled_pair t ?name (a1, b1) l1 (a2, b2) l2 ~k =
   let m = k *. Float.sqrt (l1 *. l2) in
   coupled_inductors t ?name [| (a1, b1); (a2, b2) |] ~lmat:[| [| l1; m |]; [| m; l2 |] |]
 
-let force_voltage t ?(breakpoints = []) n f =
+let add_forced t ~breakpoints n f =
   check_node t n "force_voltage";
   if n = ground then invalid_arg "Netlist.force_voltage: cannot force ground";
   if List.mem_assoc n t.forced then invalid_arg "Netlist.force_voltage: node already forced";
@@ -133,12 +142,19 @@ let force_voltage t ?(breakpoints = []) n f =
   t.forced <- (n, f) :: t.forced;
   if breakpoints <> [] then t.breakpoints <- List.rev_append breakpoints t.breakpoints
 
+let force_voltage t ?(breakpoints = []) n f =
+  add_forced t ~breakpoints n f;
+  t.settle <- None
+
+(* [Pwl.eval] holds the last point's value from [Pwl.end_time] on. *)
 let force_pwl t n pwl =
-  force_voltage t ~breakpoints:(List.map fst (Pwl.points pwl)) n (Pwl.eval pwl)
+  add_forced t ~breakpoints:(List.map fst (Pwl.points pwl)) n (Pwl.eval pwl);
+  t.settle <- Option.map (Float.max (Pwl.end_time pwl)) t.settle
 
 let elements t = List.rev t.elems
 let forced t = List.rev t.forced
 let breakpoints t = List.sort_uniq Float.compare t.breakpoints
+let settle_time t = t.settle
 
 let element_nodes = function
   | Resistor { n1; n2; _ } | Capacitor { n1; n2; _ } | Inductor { n1; n2; _ }

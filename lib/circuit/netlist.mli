@@ -82,7 +82,8 @@ val force_voltage : t -> ?breakpoints:float list -> node -> (float -> float) -> 
 
 val force_pwl : t -> node -> Rlc_waveform.Pwl.t -> unit
 (** [force_voltage] with the PWL's evaluator and every PWL point registered
-    as a breakpoint. *)
+    as a breakpoint.  Unlike a closure source, a PWL source is known to be
+    constant from its last point on: that time enters {!settle_time}. *)
 
 val elements : t -> element list
 (** In insertion order. *)
@@ -91,6 +92,14 @@ val forced : t -> (node * (float -> float)) list
 
 val breakpoints : t -> float list
 (** All declared source breakpoints, sorted and deduplicated. *)
+
+val settle_time : t -> float option
+(** The time from which every forced node holds a constant value:
+    [Some t] with [t] the latest last-point time over the {!force_pwl}
+    sources ([Some 0.] when no node is forced), or [None] as soon as one
+    node was forced with {!force_voltage}, whose closure may change at any
+    time.  The engine's max-final stop entries (see
+    {!Engine.Compiled.run}) only fire from this time on. *)
 
 val validate : t -> unit
 (** Checks that every non-ground node is reachable from a forced node or

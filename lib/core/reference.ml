@@ -22,7 +22,9 @@ let input_start = 30e-12
 
 (* Every first crossing [t_in50] and the near/far measurements read. *)
 let measured_crossings ~vdd ~input ~near ~far =
-  let at node edge frac = (node, edge, Measure.level_of_frac ~vdd ~edge ~frac) in
+  let at node edge frac =
+    (node, Engine.Crossing (edge, Measure.level_of_frac ~vdd ~edge ~frac))
+  in
   let rising node = List.map (at node Measure.Rising) [ 0.1; 0.5; 0.9 ] in
   (at input Measure.Falling 0.5 :: rising near) @ rising far
 
@@ -77,7 +79,9 @@ let replay ?obs ~dt ?t_stop ?adaptive ?n_segments ~reuse ~far_stops ~pwl ~line ~
   let far_ref = ref Netlist.ground in
   Ladder.attach_load ?n_segments line ~cl nl near far_ref;
   let record_nodes = [ near; !far_ref ]
-  and stop_after = List.map (fun (dir, level) -> (!far_ref, dir, level)) far_stops in
+  and stop_after =
+    List.map (fun (dir, level) -> (!far_ref, Engine.Crossing (dir, level))) far_stops
+  in
   (* Ceff-model replays sweep many π/ladder loads of identical shape; the
      structure-keyed handle cache makes each after the first a restamp
      (values in, no compile/alloc) with bit-identical results.  [reuse:false]

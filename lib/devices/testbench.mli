@@ -38,7 +38,7 @@ val drive :
   ?stop_after:
     (input:Netlist.node ->
     output:Netlist.node ->
-    (Netlist.node * Waveform.direction * float) list) ->
+    (Netlist.node * Rlc_circuit.Engine.stop) list) ->
   tech:Tech.t ->
   size:float ->
   input_slew:float ->
@@ -58,12 +58,12 @@ val drive :
     few probe nodes should pass the list.
 
     [stop_after], also evaluated after [load], receives the input and
-    output nodes and returns the first crossings the caller will read
-    (see {!Rlc_circuit.Engine.Compiled.run}): the transient ends right
-    after the last of them, [t_stop] stays the cap, and the returned
-    waveforms are the full run's bit-exact prefix — so those crossings
-    measure exactly as on the full window, while anything later is
-    absent.  Every node it names must be recorded.  When omitted the run
+    output nodes and returns the stop entries for the first crossings the
+    caller will read (see {!Rlc_circuit.Engine.Compiled.run}): the
+    transient ends right after the last of them, [t_stop] stays the cap,
+    and the returned waveforms are the full run's bit-exact prefix — so
+    those crossings measure exactly as on the full window, while anything
+    later is absent.  Every node it names must be recorded.  When omitted the run
     covers the whole window.
 
     [obs] and [adaptive] are forwarded to {!Rlc_circuit.Engine.transient};

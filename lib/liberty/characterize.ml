@@ -25,10 +25,11 @@ let characterize_point tech ~size ~edge ~input_slew ~cap =
   let t0 = 10e-12 in
   let t_stop = t0 +. (2. *. input_slew) +. Float.max 2e-9 (2000. *. cap) in
   let stop_after ~input ~output =
-    (input, in_edge, Measure.level_of_frac ~vdd ~edge:in_edge ~frac:0.5)
-    :: List.map
-         (fun frac -> (output, out_edge, Measure.level_of_frac ~vdd ~edge:out_edge ~frac))
-         [ 0.1; 0.2; 0.5; 0.8; 0.9 ]
+    let at node edge frac =
+      (node, Rlc_circuit.Engine.Crossing (edge, Measure.level_of_frac ~vdd ~edge ~frac))
+    in
+    at input in_edge 0.5
+    :: List.map (at output out_edge) [ 0.1; 0.2; 0.5; 0.8; 0.9 ]
   in
   let r =
     Testbench.drive ~dt:0.5e-12 ~t_stop ~t0 ~edge ~stop_after ~tech ~size ~input_slew

@@ -104,7 +104,7 @@ let simulate ?obs ?(n_segments = default_segments) ?(stop_after = []) ~dt ~victi
      cheapest possible restamp for the compiled-handle cache. *)
   let r =
     Engine.Compiled.run ?obs ~record_nodes:[ fars.(0) ]
-      ~stop_after:(List.map (fun (dir, level) -> (fars.(0), dir, level)) stop_after)
+      ~stop_after:(List.map (fun s -> (fars.(0), s)) stop_after)
       ~dt ~t_stop (Engine.Compiled.cached ?obs nl)
   in
   Waveform.shift_time (-.shift) (Engine.voltage r fars.(0))

@@ -33,7 +33,7 @@ val default_segments : int
 val simulate :
   ?obs:Rlc_obs.Obs.t ->
   ?n_segments:int ->
-  ?stop_after:(Rlc_waveform.Waveform.direction * float) list ->
+  ?stop_after:Rlc_circuit.Engine.stop list ->
   dt:float ->
   victim:member ->
   aggressors:(member * float) list ->
@@ -46,15 +46,21 @@ val simulate :
     [replay_pwl]).  The stop time is the last drive's end plus the larger
     of 1 ns and ten flight times of the slowest member.
 
-    [stop_after] lists [(direction, level)] first crossings of the
-    victim's far end (levels in volts); the transient ends right after the
-    step by which all of them have happened (see
+    [stop_after] lists stop entries on the victim's far end (see
+    {!Rlc_circuit.Engine.stop}): [Crossing (direction, level)] first
+    crossings (levels in volts) and [Max_final], the proof that the
+    far end's running maximum is final.  The transient ends right after
+    the step by which all of them are satisfied (see
     {!Rlc_circuit.Engine.Compiled.run}): the returned waveform is then
     exactly the full-length one's prefix through that step, so those
-    crossings — and any first crossing completed by then — are
-    bit-identical to the full run's, while nothing after it (the peak, the
-    settling tail, later crossings) is present.  A crossing that never
-    happens returns the full-length waveform.
+    crossings — and any first crossing completed by then — and, under
+    [Max_final], {!Rlc_waveform.Waveform.v_max} are bit-identical to the
+    full run's, while nothing after that step is present.  A cluster
+    always meets [Max_final]'s conditions (linear, PWL drives, every node
+    tied to ground or a drive through its line or [rs]), so the entry can
+    fire once the drives have ended and the stored energy has decayed
+    below the peak; an entry never satisfied returns the full-length
+    waveform.
 
     Deterministic: a pure function of the arguments, independent of worker
     scheduling. *)

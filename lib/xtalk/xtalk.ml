@@ -7,6 +7,7 @@ module Pwl = Rlc_waveform.Pwl
 module Waveform = Rlc_waveform.Waveform
 module Measure = Rlc_waveform.Measure
 module Driver_model = Rlc_ceff.Driver_model
+module Engine = Rlc_circuit.Engine
 
 let src = Logs.Src.create "rlc.xtalk" ~doc:"coupled-net crosstalk analysis"
 
@@ -87,8 +88,11 @@ let offsets ~span n =
 
 let analyze ?(config = Config.default) (flow : Flow.result) =
   if config.Config.alignments < 1 then invalid_arg "Rlc_xtalk.analyze: alignments must be >= 1";
-  if config.Config.threshold < 0. || config.Config.budget < 0. then
-    invalid_arg "Rlc_xtalk.analyze: negative threshold or budget";
+  (* NaN fails every comparison: it would simulate every pair (threshold)
+     or never flag a violation (budget). *)
+  let usable x = Float.is_finite x && x >= 0. in
+  if not (usable config.Config.threshold && usable config.Config.budget) then
+    invalid_arg "Rlc_xtalk.analyze: threshold and budget must be finite and >= 0";
   let design = flow.Flow.design in
   let obs = config.Config.obs in
   let vdd = design.Design.tech.Rlc_devices.Tech.vdd in
@@ -112,6 +116,11 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
   (* ------------------------------------------------------------ screen *)
   let screened_victims =
     Obs.time obs "xtalk.screen" (fun () ->
+        (* Each aggressor's edge rate, resampled once per net rather than
+           once per ordered pair.  Coupling edges are symmetric, so every
+           aggressor is also a victim. *)
+        let tr_of = Array.make (Array.length design.Design.nets) Float.nan in
+        List.iter (fun v -> tr_of.(v) <- full_swing_tr (model_of v)) victims;
         List.map
           (fun v ->
             let net = design.Design.nets.(v) in
@@ -125,7 +134,7 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
                 (Option.value (Hashtbl.find_opt agg_of v) ~default:[])
               |> List.map (fun (a, cc) ->
                      let est =
-                       Noise.estimate ~vdd ~tr:(full_swing_tr (model_of a)) ~rv ~cv ~cc ~damping
+                       Noise.estimate ~vdd ~tr:tr_of.(a) ~rv ~cv ~cc ~damping
                      in
                      let screened = est.Noise.v_peak < threshold_v in
                      Obs.incr obs
@@ -179,9 +188,12 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
                       p.cc ))
                   survivors
               in
+              (* Only the peak is read, so the run stops once the
+                 passivity bound proves it final. *)
               let far =
                 Cluster.simulate ~obs ~n_segments:config.Config.n_segments
-                  ~dt:config.Config.dt ~victim:(member_of v) ~aggressors:rising ()
+                  ~stop_after:[ Engine.Max_final ] ~dt:config.Config.dt ~victim:(member_of v)
+                  ~aggressors:rising ()
               in
               let noise = Waveform.v_max far in
               (* Delay: victim switches on its own model waveform, the
@@ -214,7 +226,8 @@ let analyze ?(config = Config.default) (flow : Flow.result) =
                        stops right after it. *)
                     let far =
                       Cluster.simulate ~obs ~n_segments:config.Config.n_segments
-                        ~stop_after:[ (Measure.Rising, 0.5 *. vdd) ] ~dt:config.Config.dt
+                        ~stop_after:[ Engine.Crossing (Measure.Rising, 0.5 *. vdd) ]
+                        ~dt:config.Config.dt
                         ~victim:(member_of ~drive:vm.Driver_model.pwl v)
                         ~aggressors:falling ()
                     in

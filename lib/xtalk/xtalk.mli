@@ -93,8 +93,11 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
     the victim quiet for the noise peak, plus [alignments] transients with
     the victim switching and the aggressors opposing for the worst delay.
     Only the first far-end 50 % crossing of an alignment transient is read,
-    so each one stops right after it ({!Cluster.simulate}'s
-    [stop_after]); the noise transient runs its full window.
+    so each one stops right after it, and only the far-end peak of the
+    noise transient, so it stops once a passivity bound proves that peak
+    final ({!Cluster.simulate}'s [stop_after] with
+    [Crossing (Rising, 0.5 vdd)] and [Max_final]).  Both read the same
+    bits as full-window runs.
     Clusters are scheduled on the level-parallel domain pool ({!Config.t}
     [pool]/[jobs]); the flow's Ceff cache is not consulted or touched.
 
@@ -106,7 +109,11 @@ val analyze : ?config:Config.t -> Rlc_flow.Flow.result -> result
     [obs] records ["xtalk.screen"] / ["xtalk.victim"] spans, counters
     ["xtalk.pairs_screened"], ["xtalk.pairs_simulated"],
     ["xtalk.alignment_sweeps"], and the per-victim governing noise (mV) as
-    the ["xtalk.noise_mv"] histogram. *)
+    the ["xtalk.noise_mv"] histogram.
+
+    Raises [Invalid_argument] when [alignments < 1] or when [threshold] or
+    [budget] is negative or not finite (a NaN threshold would simulate
+    every pair, a NaN budget never flag a violation). *)
 
 val json_fragment : Rlc_flow.Design.t -> result -> string
 (** Render the result as a JSON object (net names resolved through the

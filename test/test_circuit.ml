@@ -247,14 +247,16 @@ let build_coupled_pair () =
   Netlist.resistor nl b2 Netlist.ground 1e3;
   (nl, [ a1; a2; b1; b2 ])
 
-let build_nonlinear_clamp ?(drive = step 1.) () =
+let build_nonlinear_clamp ?(drive = step 1.) ?pwl () =
   (* Step through a resistor into a capacitor clamped by a diode: exercises
      the Newton path (several iterations per step) on top of linear
-     stamps. *)
+     stamps.  [pwl], when given, replaces the closure [drive]. *)
   let is_ = 1e-14 and vt = 0.02585 in
   let nl = Netlist.create () in
   let src = Netlist.node nl "src" and out = Netlist.node nl "out" in
-  Netlist.force_voltage nl src drive;
+  (match pwl with
+  | Some p -> Netlist.force_pwl nl src p
+  | None -> Netlist.force_voltage nl src drive);
   Netlist.resistor nl src out 1e3;
   Netlist.capacitor nl out Netlist.ground 0.1e-12;
   Netlist.nonlinear nl
@@ -684,6 +686,9 @@ let check_stop_prefix name build ~stops ~dt ~t_stop () =
           let options = { (Engine.default_options ~dt ~t_stop) with Engine.integration } in
           let h = Engine.Compiled.compile nl in
           let run ?obs ?record_nodes ?stop_after () =
+            let stop_after =
+              Option.map (List.map (fun (n, d, l) -> (n, Engine.Crossing (d, l)))) stop_after
+            in
             Engine.Compiled.run ?obs ~options ?adaptive ?record_nodes ?stop_after ~dt ~t_stop h
           in
           let full = run () in
@@ -876,6 +881,402 @@ let test_compiled_cache_keying () =
   Alcotest.(check int) "topology change missed" 1 (m2 - m1);
   Engine.Compiled.clear_cache ()
 
+(* ------------------------------------------------------------ max-final *)
+
+(* A [Max_final] entry ends the run once a passivity bound proves its
+   node's running maximum final.  Whether or not it fires, the run must be
+   the unstopped run's bit-exact prefix, and the maximum (and every listed
+   first crossing) must read the same bits as the full window.  Where the
+   bound's conditions fail the entry must never fire. *)
+
+let pwl_step ?(t0 = 10e-12) ?(tr = 10e-12) v =
+  Pwl.of_points [ (0., 0.); (t0, 0.); (t0 +. tr, v) ]
+
+let stepping_modes dt =
+  List.concat_map
+    (fun (tag, integration) ->
+      List.map
+        (fun (mode, adaptive) -> (tag ^ "/" ^ mode, integration, adaptive))
+        [ ("fixed", None); ("adaptive", Some (Engine.default_adaptive ~dt_min:dt ())) ])
+    [ ("trap", Engine.Trapezoidal); ("be", Engine.Backward_euler) ]
+
+(* Run [nl] whole and with [stops] on one handle, check the stopped run
+   against the whole one, and return whether it stopped early. *)
+let max_final_prefix ctx nl ~stops ~dt ~t_stop ~integration ~adaptive =
+  let module Obs = Rlc_obs.Obs in
+  let bits = Int64.bits_of_float in
+  let options = { (Engine.default_options ~dt ~t_stop) with Engine.integration } in
+  let h = Engine.Compiled.compile nl in
+  let run ?obs ?stop_after () =
+    Engine.Compiled.run ?obs ~options ?adaptive ?stop_after ~dt ~t_stop h
+  in
+  let full = run () in
+  let obs = Obs.create () in
+  let stopped = run ~obs ~stop_after:stops () in
+  let tf = Engine.times full and ts = Engine.times stopped in
+  let n = Array.length ts in
+  if n > Array.length tf || Array.sub tf 0 n <> ts then
+    Alcotest.failf "%s: stopped times not a prefix" ctx;
+  List.iter
+    (fun node ->
+      let vf = Waveform.values (Engine.voltage full node) in
+      Array.iteri
+        (fun i v ->
+          if bits v <> bits vf.(i) then
+            Alcotest.failf "%s: node %s step %d: stopped %.17g <> full %.17g" ctx
+              (Netlist.node_name nl node) i v vf.(i))
+        (Waveform.values (Engine.voltage stopped node)))
+    (List.sort_uniq compare (List.map fst stops));
+  List.iter
+    (fun (node, stop) ->
+      let w r = Engine.voltage r node in
+      match stop with
+      | Engine.Max_final ->
+          let a = Waveform.v_max (w full) and b = Waveform.v_max (w stopped) in
+          if bits a <> bits b then
+            Alcotest.failf "%s: maximum of %s: stopped %.17g <> full %.17g" ctx
+              (Netlist.node_name nl node) b a
+      | Engine.Crossing (direction, level) ->
+          let t r = Waveform.first_crossing (w r) ~level ~direction in
+          if Option.map bits (t full) <> Option.map bits (t stopped) then
+            Alcotest.failf "%s: first crossing of %g at %s moved" ctx level
+              (Netlist.node_name nl node))
+    stops;
+  if Engine.times (run ()) <> tf then Alcotest.failf "%s: rerun after a stop differs" ctx;
+  (* A stop on the window's last step counts without shortening it. *)
+  let early = n < Array.length tf
+  and counted = Obs.counter (Obs.snapshot obs) "engine.early_stops" in
+  if (early && counted <> 1) || counted > 1 then
+    Alcotest.failf "%s: %d early stops counted for %d of %d samples" ctx counted n
+      (Array.length tf);
+  early
+
+(* [max_final_prefix] under trapezoidal/BE x fixed/adaptive (or the
+   [only] integrator); [expect] says whether every run must stop early or
+   none may. *)
+let check_max_final ?only name build ~expect ~dt ~t_stop () =
+  List.iter
+    (fun (mode, integration, adaptive) ->
+      let nl, stops = build () in
+      let ctx = name ^ "/" ^ mode in
+      let early = max_final_prefix ctx nl ~stops ~dt ~t_stop ~integration ~adaptive in
+      if early <> expect then
+        Alcotest.failf "%s: %s" ctx
+          (if expect then "the bound never proved the maximum final"
+           else "stopped outside the bound's conditions"))
+    (List.filter
+       (fun (_, integration, _) -> Option.fold ~none:true ~some:(( = ) integration) only)
+       (stepping_modes dt))
+
+(* Series R-L-C from a forced source node; the output is the capacitor. *)
+let series_rlc ?(force = fun nl src -> Netlist.force_pwl nl src (pwl_step 1.)) ~r ~l ~c () =
+  let nl = Netlist.create () in
+  let src = Netlist.node nl "src" and mid = Netlist.node nl "mid" and out = Netlist.node nl "out" in
+  force nl src;
+  Netlist.resistor nl src mid r;
+  Netlist.inductor nl mid out l;
+  Netlist.capacitor nl out Netlist.ground c;
+  (nl, out)
+
+(* Coupled RLC lines in the shape of a crosstalk cluster: each member is an
+   [n_seg]-segment R-L-C line behind a resistance [rs] — to a PWL source
+   when it has a [drive], to ground when it is quiet — with its far-end
+   load [cl]; member 0 couples to every other member through [cc] per
+   segment.  Returns the far ends. *)
+type line = {
+  seg_r : float;
+  seg_l : float;
+  seg_c : float;
+  rs : float;
+  cl : float;
+  drive : Pwl.t option;
+}
+
+let build_lines ~n_seg ~cc lines =
+  let nl = Netlist.create () in
+  let near =
+    Array.mapi
+      (fun j ln ->
+        let nd = Netlist.node nl (Printf.sprintf "x%d_near" j) in
+        (match ln.drive with
+        | Some p ->
+            let src = Netlist.node nl (Printf.sprintf "x%d_src" j) in
+            Netlist.force_pwl nl src p;
+            Netlist.resistor nl src nd ln.rs
+        | None -> Netlist.resistor nl nd Netlist.ground ln.rs);
+        nd)
+      lines
+  in
+  let prev = ref near in
+  for s = 1 to n_seg do
+    let mids = Array.mapi (fun j _ -> Netlist.node nl (Printf.sprintf "x%d_m%d" j s)) lines in
+    let nexts = Array.mapi (fun j _ -> Netlist.node nl (Printf.sprintf "x%d_n%d" j s)) lines in
+    Array.iteri
+      (fun j ln ->
+        Netlist.resistor nl !prev.(j) mids.(j) ln.seg_r;
+        Netlist.inductor nl mids.(j) nexts.(j) ln.seg_l;
+        Netlist.capacitor nl nexts.(j) Netlist.ground ln.seg_c)
+      lines;
+    for j = 1 to Array.length lines - 1 do
+      if cc > 0. then Netlist.capacitor nl nexts.(0) nexts.(j) cc
+    done;
+    prev := nexts
+  done;
+  Array.iteri
+    (fun j ln -> if ln.cl > 0. then Netlist.capacitor nl !prev.(j) Netlist.ground ln.cl)
+    lines;
+  (nl, !prev)
+
+(* A quiet victim line next to two rising aggressors: the crosstalk noise
+   run's shape. *)
+let noise_cluster () =
+  let line drive = { seg_r = 4.; seg_l = 0.2e-9; seg_c = 40e-15; rs = 60.; cl = 10e-15; drive } in
+  build_lines ~n_seg:8 ~cc:15e-15
+    [| line None; line (Some (pwl_step ~tr:30e-12 1.)); line (Some (pwl_step ~t0:40e-12 1.)) |]
+
+let test_max_final_fires () =
+  check_max_final "series-rlc"
+    (fun () ->
+      let nl, out = series_rlc ~r:20. ~l:5e-9 ~c:1e-12 () in
+      (nl, [ (out, Engine.Max_final); (out, Engine.Crossing (Waveform.Rising, 0.5)) ]))
+    ~expect:true ~dt:1e-12 ~t_stop:3e-9 ();
+  check_max_final "noise-cluster"
+    (fun () ->
+      let nl, far = noise_cluster () in
+      (nl, [ (far.(0), Engine.Max_final) ]))
+    ~expect:true ~dt:0.5e-12 ~t_stop:2e-9 ()
+
+(* The true maximum comes after an earlier, lower local peak: the bound
+   must not take the first peak for the last. *)
+let test_max_final_late_peak () =
+  let local_peak_first nl node ~dt ~t_stop =
+    let vs = Waveform.values (Engine.voltage (Engine.transient ~dt ~t_stop nl) node) in
+    let top = ref 0 in
+    Array.iteri (fun i v -> if v > vs.(!top) then top := i) vs;
+    let earlier = ref false in
+    for i = 1 to !top - 1 do
+      if vs.(i) > vs.(i - 1) && vs.(i) >= vs.(i + 1) && vs.(i) < vs.(!top) -. 1e-2 then
+        earlier := true
+    done;
+    if not !earlier then
+      Alcotest.failf "%s: no lower local peak before the maximum" (Netlist.node_name nl node)
+  in
+  (* Rs = Z0 / 2 into a 50-ohm line with a capacitive far end: the first
+     reflection peaks at ~1.20 V, a later one at ~1.28 V. *)
+  let reflection () =
+    let line =
+      { seg_r = 0.5; seg_l = 0.1e-9; seg_c = 40e-15; rs = 25.; cl = 50e-15; drive = Some (pwl_step 1.) }
+    in
+    let nl, far = build_lines ~n_seg:20 ~cc:0. [| line |] in
+    (nl, [ (far.(0), Engine.Max_final) ])
+  in
+  let nl, stops = reflection () in
+  local_peak_first nl (fst (List.hd stops)) ~dt:0.5e-12 ~t_stop:3e-9;
+  check_max_final "mismatched-reflection" reflection ~expect:true ~dt:0.5e-12 ~t_stop:3e-9 ();
+  (* The source steps to 0.5 V, rings and settles, pulses to 1 V at 1 ns
+     and ends at 0 V.  Before the pulse the node's stored energy about the
+     final 0 V point is below its first peak, so only the settle-time
+     condition keeps the bound from calling that peak final. *)
+  let late_pulse () =
+    let pwl =
+      Pwl.of_points
+        [
+          (0., 0.); (10e-12, 0.); (20e-12, 0.5); (1e-9, 0.5); (1.01e-9, 1.); (1.3e-9, 1.); (1.31e-9, 0.);
+        ]
+    in
+    let nl, out =
+      series_rlc ~force:(fun nl src -> Netlist.force_pwl nl src pwl) ~r:20. ~l:5e-9 ~c:1e-12 ()
+    in
+    (nl, [ (out, Engine.Max_final) ])
+  in
+  let nl, stops = late_pulse () in
+  local_peak_first nl (fst (List.hd stops)) ~dt:1e-12 ~t_stop:4e-9;
+  check_max_final "late-source-pulse" late_pulse ~expect:true ~dt:1e-12 ~t_stop:4e-9 ()
+
+let test_max_final_never_fires () =
+  let never name build ~dt ~t_stop = check_max_final name build ~expect:false ~dt ~t_stop () in
+  let with_out f () =
+    let nl, out = f () in
+    (nl, [ (out, Engine.Max_final) ])
+  in
+  (* Nonlinear: the diode clamp behind a PWL step. *)
+  never "diode-clamp"
+    (with_out (fun () ->
+         let nl, probes = build_nonlinear_clamp ~pwl:(pwl_step 1.) () in
+         (nl, List.nth probes 1)))
+    ~dt:1e-12 ~t_stop:1e-9;
+  (* Coupled-inductor group. *)
+  never "coupled-inductors"
+    (with_out (fun () ->
+         let nl = Netlist.create () in
+         let src = Netlist.node nl "src" in
+         Netlist.force_pwl nl src (pwl_step 1.);
+         let a1 = Netlist.node nl "a1" and a2 = Netlist.node nl "a2" in
+         let b1 = Netlist.node nl "b1" and b2 = Netlist.node nl "b2" in
+         Netlist.resistor nl src a1 25.;
+         Netlist.coupled_pair nl (a1, a2) 2e-9 (b1, b2) 2e-9 ~k:0.5;
+         Netlist.capacitor nl a2 Netlist.ground 0.2e-12;
+         Netlist.resistor nl b1 Netlist.ground 50.;
+         Netlist.capacitor nl b2 Netlist.ground 0.2e-12;
+         Netlist.resistor nl b2 Netlist.ground 1e3;
+         (nl, a2)))
+    ~dt:1e-12 ~t_stop:3e-9;
+  (* A constant current source beside a settling RLC. *)
+  never "current-source"
+    (with_out (fun () ->
+         let nl, out = series_rlc ~r:20. ~l:5e-9 ~c:1e-12 () in
+         Netlist.current_source nl Netlist.ground out (fun _ -> 1e-6);
+         (nl, out)))
+    ~dt:1e-12 ~t_stop:3e-9;
+  (* A closure source: its settle time is unknown. *)
+  never "force-voltage-closure"
+    (with_out
+       (series_rlc
+          ~force:(fun nl src -> Netlist.force_voltage nl src (step 1.))
+          ~r:20. ~l:5e-9 ~c:1e-12))
+    ~dt:1e-12 ~t_stop:3e-9;
+  (* A node hanging off the output through capacitors only. *)
+  never "floating-through-caps"
+    (with_out (fun () ->
+         let nl, out = series_rlc ~r:20. ~l:5e-9 ~c:1e-12 () in
+         let x = Netlist.node nl "x" in
+         Netlist.capacitor nl out x 0.5e-12;
+         Netlist.capacitor nl x Netlist.ground 0.5e-12;
+         (nl, out)))
+    ~dt:1e-12 ~t_stop:3e-9;
+  (* Settled current through an inductor (a resistive divider): the
+     settled point is not a zero-current one. *)
+  never "inductor-dc-current"
+    (with_out (fun () ->
+         let nl, out = series_rlc ~r:20. ~l:5e-9 ~c:1e-12 () in
+         Netlist.resistor nl out Netlist.ground 100.;
+         (nl, out)))
+    ~dt:1e-12 ~t_stop:3e-9;
+  (* A near-lossless line: the stored energy barely decays, so the bound
+     stays above the far end's peak for the whole window (trapezoidal
+     steps only: backward Euler damps the line numerically). *)
+  check_max_final ~only:Engine.Trapezoidal ~expect:false "near-lossless-line"
+    (fun () ->
+      let line =
+        { seg_r = 1e-3; seg_l = 0.1e-9; seg_c = 40e-15; rs = 1e-2; cl = 10e-15; drive = Some (pwl_step 1.) }
+      in
+      let nl, far = build_lines ~n_seg:20 ~cc:0. [| line |] in
+      (nl, [ (far.(0), Engine.Max_final) ]))
+    ~dt:0.5e-12 ~t_stop:2e-9 ();
+  (* Overshoot below the 1 uV margin: the peak sits within the margin of
+     the settled value, so it is never proven final. *)
+  let damped () = series_rlc ~r:97.7 ~l:2.5e-9 ~c:1e-12 () in
+  let nl, out = damped () in
+  let w = Engine.voltage (Engine.transient ~dt:1e-12 ~t_stop:3e-9 nl) out in
+  let over = Waveform.v_max w -. 1. in
+  if not (over > 0. && over < 1e-6) then
+    Alcotest.failf "damped RLC overshoot %g V is not inside (0, 1 uV)" over;
+  never "overshoot-below-margin" (with_out damped) ~dt:1e-12 ~t_stop:3e-9
+
+(* Property: random RLC lines and 2-3 member coupled clusters, random PWL
+   drives, random mixes of crossing and max-final entries (a max-final
+   entry on member 0's far end always among them), under both integrators
+   and both stepping modes: every stopped run is the full run's bit-exact
+   prefix and reads the same crossings and maxima. *)
+type max_final_case = {
+  lines : line array;
+  n_seg : int;
+  cc : float;
+  stops : (int * Engine.stop) list;  (* far end of member [i] *)
+  mode : int;  (* index into [stepping_modes] *)
+}
+
+let gen_max_final_case =
+  let open QCheck.Gen in
+  let gen_pwl =
+    let* n = int_range 1 3 in
+    let* steps = list_repeat n (pair (float_range 5e-12 80e-12) (float_range 0. 1.)) in
+    let _, pts =
+      List.fold_left
+        (fun (t, acc) (dt, v) ->
+          let t = t +. dt in
+          (t, (t, v) :: acc))
+        (0., [ (0., 0.) ])
+        steps
+    in
+    return (Pwl.of_points (List.rev pts))
+  in
+  let gen_line =
+    let* seg_r = float_range 1. 20. in
+    let* seg_l = float_range 0.05e-9 0.5e-9 in
+    let* seg_c = float_range 10e-15 60e-15 in
+    let* rs = float_range 10. 200. in
+    let* cl = float_range 0. 50e-15 in
+    let* drive = opt gen_pwl in
+    return { seg_r; seg_l; seg_c; rs; cl; drive }
+  in
+  let* k = int_range 1 3 in
+  let* lines = list_repeat k gen_line in
+  let* n_seg = int_range 2 6 in
+  let* cc = float_range 0. 40e-15 in
+  let gen_stop =
+    let* who = int_range 0 (k - 1) in
+    let* kind = int_range 0 2 in
+    let* level = float_range (-0.1) 1.1 in
+    return
+      ( who,
+        match kind with
+        | 0 -> Engine.Max_final
+        | 1 -> Engine.Crossing (Waveform.Rising, level)
+        | _ -> Engine.Crossing (Waveform.Falling, level) )
+  in
+  let* more = list_size (int_range 0 3) gen_stop in
+  let* mode = int_range 0 3 in
+  return { lines = Array.of_list lines; n_seg; cc; stops = (0, Engine.Max_final) :: more; mode }
+
+let print_max_final_case c =
+  Printf.sprintf "%d member(s) x %d segments, cc %g, mode %d, drives [%s], stops [%s]"
+    (Array.length c.lines) c.n_seg c.cc c.mode
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun l ->
+               match l.drive with
+               | None -> Printf.sprintf "quiet rs=%g" l.rs
+               | Some p ->
+                   String.concat ","
+                     (List.map (fun (t, v) -> Printf.sprintf "(%g,%g)" t v) (Pwl.points p)))
+             c.lines)))
+    (String.concat "; "
+       (List.map
+          (fun (i, s) ->
+            match s with
+            | Engine.Max_final -> Printf.sprintf "%d max" i
+            | Engine.Crossing (d, l) ->
+                Printf.sprintf "%d %s %g" i (if d = Waveform.Rising then "rise" else "fall") l)
+          c.stops))
+
+(* Whether the case's stopped run ended early (after checking it). *)
+let run_max_final_case c =
+  let dt = 1e-12 and t_stop = 1.5e-9 in
+  let mode, integration, adaptive = List.nth (stepping_modes dt) c.mode in
+  let nl, far = build_lines ~n_seg:c.n_seg ~cc:c.cc c.lines in
+  max_final_prefix ("random " ^ mode) nl
+    ~stops:(List.map (fun (i, s) -> (far.(i), s)) c.stops)
+    ~dt ~t_stop ~integration ~adaptive
+
+let prop_max_final_prefix =
+  QCheck.Test.make ~name:"max-final and crossing stops are bit-exact prefixes (random clusters)"
+    ~count:60
+    (QCheck.make ~print:print_max_final_case gen_max_final_case)
+    (fun c ->
+      ignore (run_max_final_case c : bool);
+      true)
+
+(* The property is not vacuous: on a fixed sample of its cases the bound
+   fires often. *)
+let test_max_final_property_fires () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 16 |]) ~n:40 gen_max_final_case
+  in
+  let early = List.length (List.filter run_max_final_case cases) in
+  if early < 8 then Alcotest.failf "only %d of 40 random cases stopped early" early
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rlc_circuit"
@@ -933,6 +1334,17 @@ let () =
             test_stop_coupled;
           Alcotest.test_case "nonlinear early stop is a prefix (trap/BE x fixed/adaptive)" `Quick
             test_stop_nonlinear;
+        ] );
+      ( "max-final",
+        [
+          Alcotest.test_case "bound proves damped peaks final (trap/BE x fixed/adaptive)" `Quick
+            test_max_final_fires;
+          Alcotest.test_case "late maximum after a lower local peak" `Quick
+            test_max_final_late_peak;
+          Alcotest.test_case "never fires outside the bound's conditions" `Quick
+            test_max_final_never_fires;
+          q prop_max_final_prefix;
+          Alcotest.test_case "random cases stop early" `Quick test_max_final_property_fires;
         ] );
       ( "netlist",
         [

@@ -169,8 +169,8 @@ let test_pushout_sign () =
    simulated victim's clusters from the flow result and run them full
    length.  The reported coupled delay must equal, bit for bit, the worst
    50 % crossing over the alignment grid of the unstopped runs, and the
-   noise peak (a full-window run) must be unchanged.  A traced analysis
-   must also show every alignment transient — and only those — stopping
+   noise peak must equal a full-window run's.  A traced analysis must
+   also show every alignment transient and every noise transient stopping
    early. *)
 let test_stopped_sweep_matches_full () =
   let module Cluster = Rlc_xtalk.Cluster in
@@ -255,8 +255,12 @@ let test_stopped_sweep_matches_full () =
   Alcotest.(check string) "traced fragment unchanged" (Xtalk.json_fragment d r)
     (Xtalk.json_fragment d traced);
   let m = Obs.snapshot obs in
-  Alcotest.(check int) "every alignment transient stops early"
-    traced.Xtalk.stats.Xtalk.n_alignment_sims
+  let noise_runs =
+    Array.fold_left (fun acc (v : Xtalk.victim_result) -> if v.Xtalk.simulated then acc + 1 else acc) 0
+      traced.Xtalk.victims
+  in
+  Alcotest.(check int) "every alignment and noise transient stops early"
+    (traced.Xtalk.stats.Xtalk.n_alignment_sims + noise_runs)
     (Obs.counter m "engine.early_stops")
 
 (* ------------------------------------------------------------ gating *)
@@ -355,6 +359,158 @@ let test_off_mode_report_untouched () =
             o.Session.report;
           Alcotest.(check bool) "no xtalk result attached" true (o.Session.xtalk = None))
 
+(* ------------------------------------------------------ noise oracle *)
+
+(* A seeded coupled bus in the shape of examples/bus8_coupled.spef: bus
+   bits of 4 RLC segments, each feeding an RC local net; adjacent pairs
+   (b0-b1, b2-b3, ...) strongly coupled, the bits between them and the
+   next-nearest bits weakly.  Values are drawn per net. *)
+let generated_coupled_bus ~bits ~seed =
+  let rng = Random.State.make [| seed |] in
+  let u lo hi = lo +. Random.State.float rng (hi -. lo) in
+  let spef = Buffer.create 4096 and spec = Buffer.create 1024 in
+  Buffer.add_string spef
+    "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"gen_coupled\"\n*T_UNIT 1 PS\n*C_UNIT 1 FF\n\
+     *R_UNIT 1 OHM\n*L_UNIT 1 PH\n";
+  let bus_nodes i = List.map (Printf.sprintf "b%d_%s" i) [ "1"; "2"; "3"; "rcv" ] in
+  for i = 0 to bits - 1 do
+    let nodes = bus_nodes i in
+    let couplings =
+      (if i < bits - 1 then
+         let strong = i mod 2 = 0 in
+         List.map2
+           (fun a b -> (a, b, if strong then u 30. 45. else u 0.5 2.))
+           nodes (bus_nodes (i + 1))
+       else [])
+      @
+      if i < bits - 2 then [ (List.nth nodes 1, List.nth (bus_nodes (i + 2)) 1, u 1. 4.) ]
+      else []
+    in
+    let p fmt = Printf.bprintf spef fmt in
+    p "*D_NET b%d 800\n*CONN\n*P b%d_drv O\n*P b%d_rcv I\n*CAP\n" i i i;
+    List.iteri (fun k n -> p "%d %s %.1f\n" (k + 1) n (u 120. 200.)) nodes;
+    List.iteri (fun k (a, b, c) -> p "%d %s %s %.1f\n" (k + 5) a b c) couplings;
+    let chain f =
+      ignore
+        (List.fold_left
+           (fun (k, prev) n ->
+             p "%d %s %s %.0f\n" k prev n (f ());
+             (k + 1, n))
+           (1, Printf.sprintf "b%d_drv" i)
+           nodes)
+    in
+    p "*RES\n";
+    chain (fun () -> u 14. 24.);
+    p "*INDUC\n";
+    chain (fun () -> u 900. 1300.);
+    p "*END\n";
+    p "*D_NET o%d 90\n*CONN\n*P o%d_drv O\n*P o%d_rcv I\n*CAP\n1 o%d_1 %.1f\n2 o%d_rcv %.1f\n"
+      i i i i (u 30. 60.) i (u 30. 60.);
+    if i < bits - 1 then p "3 o%d_1 o%d_1 %.1f\n" i (i + 1) (u 1. 3.);
+    p "*RES\n1 o%d_drv o%d_1 %.1f\n2 o%d_1 o%d_rcv %.1f\n*END\n" i i (u 40. 80.) i i
+      (u 40. 80.);
+    Printf.bprintf spec
+      "driver b%d %d\ninput b%d %d\ndriver o%d 50\nedge b%d b%d_rcv o%d\nload o%d o%d_rcv 5\n"
+      i (if Random.State.bool rng then 75 else 50) i
+      (60 + Random.State.int rng 80)
+      i i i i i i
+  done;
+  let spef =
+    match Rlc_spef.Spef.parse_res (Buffer.contents spef) with
+    | Ok s -> s
+    | Error e -> failwith (Rlc_errors.Error.message e)
+  in
+  let spec =
+    match Rlc_flow.Spec.parse_res (Buffer.contents spec) with
+    | Ok s -> s
+    | Error e -> failwith (Rlc_errors.Error.message e)
+  in
+  match Design.ingest ~spef ~spec () with Ok d -> d | Error e -> failwith e
+
+(* Oracle for the early-stopped noise transients: rebuild every simulated
+   victim's noise cluster from the flow result and run it whole and with
+   the max-final stop.  The reported noise peak must equal both runs'
+   maximum bit for bit, and the stopped run must take fewer steps and
+   count one early stop. *)
+let check_noise_oracle name (fl : Flow.result) (r : Xtalk.result) =
+  let module Cluster = Rlc_xtalk.Cluster in
+  let module Driver_model = Rlc_ceff.Driver_model in
+  let module Waveform = Rlc_waveform.Waveform in
+  let module Obs = Rlc_obs.Obs in
+  let d = fl.Flow.design in
+  let cfg = Xtalk.Config.default in
+  let model id = fl.Flow.results.(id).Flow.solve.Flow.model in
+  let member ?drive id =
+    let net = d.Design.nets.(id) in
+    { Cluster.line = net.Design.eq_line; drive; rs = (model id).Driver_model.rs; cl = net.Design.cl }
+  in
+  let bits = Int64.bits_of_float in
+  let checked = ref 0 in
+  Array.iter
+    (fun (v : Xtalk.victim_result) ->
+      if v.Xtalk.simulated then begin
+        incr checked;
+        let id = v.Xtalk.victim in
+        let net = d.Design.nets.(id).Design.name in
+        let aggressors =
+          List.filter_map
+            (fun (p : Xtalk.pair) ->
+              if p.Xtalk.screened then None
+              else
+                Some
+                  ( member ~drive:(model p.Xtalk.aggressor).Driver_model.pwl p.Xtalk.aggressor,
+                    p.Xtalk.cc ))
+            v.Xtalk.pairs
+        in
+        let sim ?stop_after () =
+          let obs = Obs.create () in
+          let far =
+            Cluster.simulate ~obs ?stop_after ~n_segments:cfg.Xtalk.Config.n_segments
+              ~dt:cfg.Xtalk.Config.dt ~victim:(member id) ~aggressors ()
+          in
+          let m = Obs.snapshot obs in
+          (Waveform.v_max far, Obs.counter m "engine.steps", Obs.counter m "engine.early_stops")
+        in
+        let full, full_steps, full_stops = sim () in
+        let peak, steps, stops = sim ~stop_after:[ Rlc_circuit.Engine.Max_final ] () in
+        (match v.Xtalk.noise_sim with
+        | Some n when bits n = bits full && bits n = bits peak -> ()
+        | _ -> Alcotest.failf "%s/%s: noise peak differs from the full-window run" name net);
+        if steps >= full_steps then
+          Alcotest.failf "%s/%s: noise run did not stop early (%d of %d steps)" name net steps
+            full_steps;
+        Alcotest.(check (pair int int))
+          (name ^ "/" ^ net ^ ": early stops") (0, 1) (full_stops, stops)
+      end)
+    r.Xtalk.victims;
+  if !checked = 0 then Alcotest.failf "%s: no victim simulated" name
+
+let test_noise_oracle () =
+  check_noise_oracle "bus8_coupled" (Lazy.force flow) (Lazy.force analyzed);
+  let fl = Flow.run_cfg Flow.Config.default (generated_coupled_bus ~bits:6 ~seed:16) in
+  check_noise_oracle "generated"
+    fl
+    (Xtalk.analyze ~config:{ Xtalk.Config.default with Xtalk.Config.alignments = 1 } fl)
+
+(* Non-finite or negative screen/budget levels are rejected up front: NaN
+   fails every comparison, so it would simulate every pair or never flag a
+   violation. *)
+let test_non_finite_levels () =
+  List.iter
+    (fun (what, threshold, budget) ->
+      match analyze_with ~threshold ~budget () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("threshold nan", Float.nan, 0.25);
+      ("threshold inf", Float.infinity, 0.25);
+      ("threshold -inf", Float.neg_infinity, 0.25);
+      ("budget nan", 0.05, Float.nan);
+      ("budget inf", 0.05, Float.infinity);
+      ("budget -inf", 0.05, Float.neg_infinity);
+      ("negative threshold", -0.01, 0.25);
+    ]
+
 (* -------------------------------------------------------------- misc *)
 
 let test_protocol_xtalk_request () =
@@ -389,6 +545,7 @@ let () =
           Alcotest.test_case "calibrated vs transient" `Slow test_screen_vs_simulation;
           Alcotest.test_case "majority screened" `Slow test_bus_screens_majority;
           Alcotest.test_case "threshold extremes" `Quick test_threshold_extremes;
+          Alcotest.test_case "non-finite levels rejected" `Quick test_non_finite_levels;
         ] );
       ( "timing",
         [
@@ -398,6 +555,11 @@ let () =
             test_stopped_sweep_matches_full;
         ] );
       ( "gating", [ Alcotest.test_case "budget" `Slow test_violation_budget ] );
+      ( "noise oracle",
+        [
+          Alcotest.test_case "stopped noise runs = full-window peaks (bus8_coupled, generated)"
+            `Slow test_noise_oracle;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "fragment across jobs" `Slow test_deterministic_across_jobs;

@@ -2,6 +2,7 @@ open Rlc_num
 module Waveform = Rlc_waveform.Waveform
 module Obs = Rlc_obs.Obs
 module Deadline = Rlc_errors.Deadline
+module Memo = Rlc_memo.Memo
 
 type integration = Trapezoidal | Backward_euler
 
@@ -1540,11 +1541,12 @@ module Compiled = struct
     | Some a -> adaptive_core ~obs ~opts ~record_nodes ~stop_after a h
     | None -> fixed_core ~obs ~opts ~record_nodes ~stop_after h
 
-  (* Structure-keyed handle cache, domain-local so handles (whose scratch
-     is freely mutated during a run) are never shared across domains.  The
-     key hashes topology only — node count plus two independent polynomial
-     hashes over (kind, nodes) in insertion order; a collision is caught by
-     [restamp]'s structural validation and falls back to a rebuild. *)
+  (* Structure-keyed handle memo.  The key embeds the calling domain, so
+     a handle (whose scratch is freely mutated during a run) is never
+     shared across domains.  The rest of the key hashes topology
+     only — node count plus two independent polynomial hashes over (kind,
+     nodes) in insertion order; every hit is restamped, which also catches
+     a collision by [restamp]'s structural validation. *)
   let structure_key netlist =
     let a = ref (Netlist.node_count netlist) and b = ref 17 in
     let add x =
@@ -1584,40 +1586,38 @@ module Compiled = struct
       (Netlist.elements netlist);
     (Netlist.node_count netlist, !a, !b)
 
-  let cache_hits = Atomic.make 0
-  let cache_misses = Atomic.make 0
-  let cache_stats () = (Atomic.get cache_hits, Atomic.get cache_misses)
+  let handles : handle Memo.t = Memo.create ~capacity:256 ()
+  let memo = Memo.View handles
+  let clear_cache () = Memo.clear handles
 
-  let cache_key : (int * int * int, handle) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-  let clear_cache () = Hashtbl.reset (Domain.DLS.get cache_key)
+  (* A domain drops its handles when it exits.  Waiting for the clock is
+     not enough: a pool spawned per run leaves a dead domain's handles
+     (dense coupled-cluster factors among them) resident until 256 newer
+     ones push them out. *)
+  let purge_at_exit =
+    Domain.DLS.new_key (fun () ->
+        let prefix = Printf.sprintf "%d/" (Domain.self () :> int) in
+        Domain.at_exit (fun () -> Memo.remove_if handles (String.starts_with ~prefix)))
 
   let cached ?(obs = Obs.null) netlist =
-    let tbl = Domain.DLS.get cache_key in
-    let key = structure_key netlist in
-    match Hashtbl.find_opt tbl key with
-    | Some h -> (
+    Domain.DLS.get purge_at_exit;
+    let n, a, b = structure_key netlist in
+    let key = Printf.sprintf "%d/%d/%d/%d" (Domain.self () :> int) n a b in
+    match Memo.find_or_add handles key (fun () -> compile ~obs netlist) with
+    | h, false ->
+        Obs.incr obs "engine.handle.misses";
+        h
+    | h, true -> (
         match restamp h netlist with
         | () ->
-            Atomic.incr cache_hits;
             Obs.incr obs "engine.handle.hits";
             h
         | exception Invalid_argument _ ->
-            (* Key collision (or a half-restamped handle from a previous
-               collision): rebuild and let the new handle own the slot. *)
-            Atomic.incr cache_misses;
+            (* A key collision: the cached handle keeps its slot (its next
+               successful restamp makes it whole again) and this call runs
+               on a one-shot handle. *)
             Obs.incr obs "engine.handle.misses";
-            let h = compile ~obs netlist in
-            Hashtbl.replace tbl key h;
-            h)
-    | None ->
-        Atomic.incr cache_misses;
-        Obs.incr obs "engine.handle.misses";
-        if Hashtbl.length tbl >= 64 then Hashtbl.reset tbl;
-        let h = compile ~obs netlist in
-        Hashtbl.replace tbl key h;
-        h
+            compile ~obs netlist)
 end
 
 let transient ?obs ?options ?record_nodes ?adaptive ?stop_after ~dt ~t_stop netlist =

@@ -197,7 +197,7 @@ module Compiled : sig
   (** Compile the netlist into a reusable handle (records the usual
       ["engine.compile"] span).  The handle is not thread-safe: its solver
       scratch is mutated by every {!run}; keep one per domain (or use
-      {!cached}, which is domain-local). *)
+      {!cached}, which keys handles by domain). *)
 
   val restamp : handle -> Netlist.t -> unit
   (** Write the netlist's element values into the handle's existing
@@ -248,17 +248,21 @@ module Compiled : sig
   val node_count : handle -> int
 
   val cached : ?obs:Rlc_obs.Obs.t -> Netlist.t -> handle
-  (** Domain-local structure-keyed handle cache: returns an existing
-      handle for this topology restamped to the netlist's values, or
-      compiles and caches a new one.  Increments the global {!cache_stats}
-      counters and, with [obs], ["engine.handle.hits"] /
-      ["engine.handle.misses"].  Key collisions are caught by {!restamp}'s
-      structural validation and fall back to a rebuild, so a hit is always
-      structurally sound. *)
+  (** Structure-keyed handle memo: returns this domain's handle for the
+      netlist's topology, restamped to the netlist's values, or compiles
+      and stores a new one.  Handles live in one process-wide
+      {!Rlc_memo.Memo} of 256 entries keyed by [Domain.self ()] plus a
+      topology hash, so a handle is never shared across domains; a domain
+      drops its handles when it exits.  A hit whose
+      restamp fails (a topology-hash collision) runs on a one-shot
+      compiled handle instead.  A handle that was evicted and compiled
+      again runs bit-identically to a fresh {!transient}.  With [obs],
+      counts ["engine.handle.hits"] / ["engine.handle.misses"] (a failed
+      restamp counts as a miss). *)
 
-  val cache_stats : unit -> int * int
-  (** [(hits, misses)] of {!cached} across all domains since start. *)
+  val memo : Rlc_memo.Memo.view
+  (** The handle memo, for its counters. *)
 
   val clear_cache : unit -> unit
-  (** Drop this domain's cached handles (counters are left running). *)
+  (** Drop every cached handle; the memo counts them as evictions. *)
 end

@@ -72,7 +72,7 @@ val replay_pwl :
     crossing), so model far-end measurements compare directly against
     {!far_delay} of a transistor-level run.
 
-    [reuse] (default [true]) routes the replay through the domain-local
+    [reuse] (default [true]) routes the replay through the domain-keyed
     {!Rlc_circuit.Engine.Compiled.cached} handle cache: same-shape ladder
     replays after the first restamp values into the compiled structure
     instead of recompiling.  Results are bit-identical either way; pass

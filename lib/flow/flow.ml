@@ -9,6 +9,7 @@ module Pool = Rlc_parallel.Pool
 module Obs = Rlc_obs.Obs
 module Progress = Rlc_obs.Progress
 module Deadline = Rlc_errors.Deadline
+module Memo = Rlc_memo.Memo
 
 let src = Logs.Src.create "rlc.flow" ~doc:"parallel full-design timing flow"
 
@@ -49,7 +50,14 @@ type stats = {
 
 type result = { design : Design.t; results : net_result array; stats : stats }
 
-let create_cache () : solve Cache.t = Cache.create ()
+let cache_capacity = 2048
+let create_cache () : solve Memo.t = Memo.create ~capacity:cache_capacity ()
+
+let quantize ?(digits = 9) x =
+  if Float.is_nan x || Float.is_integer x || not (Float.is_finite x) then x
+  else float_of_string (Printf.sprintf "%.*e" (digits - 1) x)
+
+let quantize_slew ?(grid = 0.1e-12) s = Float.round (s /. grid) *. grid
 
 (* The whole knob surface of a flow run as one value, so embedders (CLI,
    bench, the service daemon's [Session]) pass configuration around and
@@ -60,7 +68,7 @@ module Config = struct
     adaptive : Rlc_circuit.Engine.adaptive option;
     jobs : int option;
     use_cache : bool;
-    cache : solve Cache.t option;
+    cache : solve Memo.t option;
     quantize_digits : int;
     slew_grid : float;
     obs : Obs.t;
@@ -118,8 +126,8 @@ let stepping_tag = function
         a.Rlc_circuit.Engine.dt_max a.Rlc_circuit.Engine.ltol
 
 let canonicalize ~digits ~grid ~tech ~dt ?adaptive (net : Design.net) ~edge ~input_slew =
-  let q = Cache.quantize ~digits in
-  let q_slew = Cache.quantize_slew ~grid (Sta.clamp_slew input_slew) in
+  let q = quantize ~digits in
+  let q_slew = quantize_slew ~grid (Sta.clamp_slew input_slew) in
   let p = net.Design.pade in
   let q_pade =
     { Pade.a1 = q p.Pade.a1; a2 = q p.Pade.a2; a3 = q p.Pade.a3; b1 = q p.Pade.b1; b2 = q p.Pade.b2 }
@@ -177,8 +185,38 @@ let solve_sized (cfg : Config.t) ~tech ~(net : Design.net) ~size ~edge ~input_sl
     solve_net ~obs ?adaptive:cfg.Config.adaptive ~tech ~dt:cfg.Config.dt ~edge ~size c
   in
   match cfg.Config.cache with
-  | Some cache when cfg.Config.use_cache -> fst (Cache.find_or_add cache c.key compute)
+  | Some cache when cfg.Config.use_cache -> fst (Memo.find_or_add cache c.key compute)
   | _ -> compute ()
+
+(* Cache and characterization counters: a run reports its deltas between
+   a snapshot taken before it and one taken after. *)
+let counters cache = (Memo.stats cache, Characterize.stats ())
+
+(* A run's stats: deterministic totals read off its results, plus the
+   scheduling-dependent counter deltas since [before]. *)
+let summarize ~before cache (design : Design.t) results ~spent ~jobs_used ~phases =
+  let (c0 : Memo.stats), (ch0, cm0, cs0) = before in
+  let (c1 : Memo.stats), (ch1, cm1, cs1) = counters cache in
+  let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 results in
+  {
+    n_nets = Array.length results;
+    n_levels = Array.length design.Design.levels;
+    n_inductive = count (fun r -> r.solve.model.Driver_model.screen.Rlc_ceff.Screen.significant);
+    n_two_ramp =
+      count (fun r ->
+          match r.solve.model.Driver_model.shape with
+          | Driver_model.Two_ramp _ -> true
+          | Driver_model.One_ramp _ -> false);
+    iterations_total = Array.fold_left (fun acc r -> acc + r.solve.iterations) 0 results;
+    cache_hits = c1.hits - c0.hits;
+    cache_misses = c1.misses - c0.misses;
+    char_hits = ch1 - ch0;
+    char_misses = cm1 - cm0;
+    char_stores = cs1 - cs0;
+    iterations_spent = spent;
+    jobs_used;
+    phases;
+  }
 
 let run_cfg_inner (cfg : Config.t) (design : Design.t) =
   let obs = cfg.Config.obs
@@ -206,8 +244,7 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
     | None -> Pool.with_pool ~obs ~jobs:jobs_used f
   in
   let cache = match cfg.Config.cache with Some c -> c | None -> create_cache () in
-  let hits0 = Cache.hits cache and misses0 = Cache.misses cache in
-  let ch0, cm0, cs0 = Characterize.stats () in
+  let before = counters cache in
   let tech = design.Design.tech in
   let n = Array.length design.Design.nets in
   let phases = ref [] in
@@ -268,7 +305,7 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
                       s
                     in
                     let solve, hit =
-                      if use_cache then Cache.find_or_add cache c.key compute
+                      if use_cache then Memo.find_or_add cache c.key compute
                       else (compute (), false)
                     in
                     if Obs.enabled obs then begin
@@ -332,30 +369,9 @@ let run_cfg_inner (cfg : Config.t) (design : Design.t) =
           design.Design.levels;
         out)
   in
-  let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 results in
   let stats =
-    {
-      n_nets = n;
-      n_levels = Array.length design.Design.levels;
-      n_inductive =
-        count (fun r ->
-            r.solve.model.Driver_model.screen.Rlc_ceff.Screen.significant);
-      n_two_ramp =
-        count (fun r ->
-            match r.solve.model.Driver_model.shape with
-            | Driver_model.Two_ramp _ -> true
-            | Driver_model.One_ramp _ -> false);
-      iterations_total =
-        Array.fold_left (fun acc r -> acc + r.solve.iterations) 0 results;
-      cache_hits = Cache.hits cache - hits0;
-      cache_misses = Cache.misses cache - misses0;
-      char_hits = (let h, _, _ = Characterize.stats () in h - ch0);
-      char_misses = (let _, m, _ = Characterize.stats () in m - cm0);
-      char_stores = (let _, _, s = Characterize.stats () in s - cs0);
-      iterations_spent = Atomic.get spent;
-      jobs_used;
-      phases = List.rev !phases;
-    }
+    summarize ~before cache design results ~spent:(Atomic.get spent) ~jobs_used
+      ~phases:(List.rev !phases)
   in
   Log.info (fun m ->
       m "flow: %d nets / %d levels, %d inductive, cache %d hits / %d misses, %d/%d iterations run"
@@ -451,8 +467,7 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
     | None -> Pool.with_pool ~obs ~jobs:jobs_used f
   in
   let cache = match cfg.Config.cache with Some c -> c | None -> create_cache () in
-  let hits0 = Cache.hits cache and misses0 = Cache.misses cache in
-  let ch0, cm0, cs0 = Characterize.stats () in
+  let before = counters cache in
   let tech = design.Design.tech in
   let n = Array.length design.Design.nets in
   (* A delta can introduce a driver size the cold run never saw. *)
@@ -506,7 +521,7 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
                       s
                     in
                     let solve, _hit =
-                      if use_cache then Cache.find_or_add cache c.key compute
+                      if use_cache then Memo.find_or_add cache c.key compute
                       else (compute (), false)
                     in
                     { net; edge; input_slew = c.q_slew; solve; arrival = 0. })
@@ -528,29 +543,7 @@ let retime_inner (cfg : Config.t) (design : Design.t) ~(old_results : net_result
       design.Design.levels;
     out
   in
-  let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 results in
-  let stats =
-    {
-      n_nets = n;
-      n_levels = Array.length design.Design.levels;
-      n_inductive =
-        count (fun r -> r.solve.model.Driver_model.screen.Rlc_ceff.Screen.significant);
-      n_two_ramp =
-        count (fun r ->
-            match r.solve.model.Driver_model.shape with
-            | Driver_model.Two_ramp _ -> true
-            | Driver_model.One_ramp _ -> false);
-      iterations_total = Array.fold_left (fun acc r -> acc + r.solve.iterations) 0 results;
-      cache_hits = Cache.hits cache - hits0;
-      cache_misses = Cache.misses cache - misses0;
-      char_hits = (let h, _, _ = Characterize.stats () in h - ch0);
-      char_misses = (let _, m, _ = Characterize.stats () in m - cm0);
-      char_stores = (let _, _, s = Characterize.stats () in s - cs0);
-      iterations_spent = Atomic.get spent;
-      jobs_used;
-      phases = [];
-    }
-  in
+  let stats = summarize ~before cache design results ~spent:(Atomic.get spent) ~jobs_used ~phases:[] in
   ({ design; results; stats }, Atomic.get retimed, Atomic.get reused)
 
 let retime ?deadline ?trace ?(xtalk_victims = false) (t : Timed.t) (delta : Delta.t) =

@@ -2,8 +2,8 @@
 
     Levels run in order; within a level every net is an independent job
     fanned out over a {!Rlc_parallel.Pool} of OCaml domains.  Each job canonicalizes its
-    inputs ({!Cache.quantize} on the admittance fit and line constants,
-    {!Cache.quantize_slew} on the input slew), consults the Ceff result
+    inputs ({!quantize} on the admittance fit and line constants,
+    {!quantize_slew} on the input slew), consults the Ceff result
     cache, and on a miss runs the paper's model
     ({!Rlc_ceff.Driver_model.model_pade}) followed by the far-end replay of
     the modeled waveform through the net.  Far-end slews hand off to the
@@ -57,13 +57,34 @@ type stats = {
 
 type result = { design : Design.t; results : net_result array; stats : stats }
 
-val create_cache : unit -> solve Cache.t
-(** A cache that can be shared across {!run_cfg} invocations (warm
-    re-timing), including across {e concurrent} requests of a resident
-    [Rlc_service.Session] — it is sharded ({!Cache.create}) so parallel
-    requests contend per shard, not on one global lock, and bounded at
-    {!Cache.default_capacity} entries, so a resident session's cache stays
-    the same size however many distinct solves it serves. *)
+val cache_capacity : int
+(** 2048 entries — 128 per shard of the default 16. *)
+
+val create_cache : unit -> solve Rlc_memo.Memo.t
+(** A Ceff result cache that can be shared across {!run_cfg} invocations
+    (warm re-timing), including across {e concurrent} requests of a
+    resident [Rlc_service.Session] — a {!Rlc_memo.Memo}, sharded so
+    parallel requests contend per shard, not on one global lock, and
+    bounded at {!cache_capacity} entries, so a resident session's cache
+    stays the same size however many distinct solves it serves.
+
+    Keys are strings built from {e quantized} inputs, and the solve itself
+    runs on the {e same quantized values}: two nets that collide on a key
+    compute bit-identical results, so a value is a pure function of its
+    key, reports do not depend on which domain populated the cache first
+    (the [--jobs 1] vs [--jobs N] guarantee), and eviction never changes
+    them. *)
+
+val quantize : ?digits:int -> float -> float
+(** Round to [digits] significant decimal digits (default 9) by a
+    [%.*e] round-trip; total order preserved, NaN/inf pass through.  Nine
+    digits comfortably exceeds extraction noise while collapsing
+    bit-identical bus parasitics emitted with different float garbage. *)
+
+val quantize_slew : ?grid:float -> float -> float
+(** Snap a slew to a time grid (default 0.1 ps): slews arriving from
+    upstream stages differ in the last ulps even for symmetric bus bits, so
+    a coarser deterministic grid is what makes their cache keys collide. *)
 
 (** The whole knob surface of a flow run as one record, replacing the old
     eight-optional-argument {!run} convention.  Build configurations with
@@ -82,7 +103,7 @@ module Config : sig
             count are clamped (see [stats.jobs_used]).  Ignored when
             [pool] is given. *)
     use_cache : bool;  (** default true *)
-    cache : solve Cache.t option;
+    cache : solve Rlc_memo.Memo.t option;
         (** share a cache across runs; [None] creates a fresh one per run *)
     quantize_digits : int;  (** cache-key significant digits; default 9 *)
     slew_grid : float;  (** cache-key slew grid, seconds; default 0.1 ps *)
@@ -114,7 +135,7 @@ module Config : sig
 
   val default : t
   val with_jobs : int -> t -> t
-  val with_cache : solve Cache.t -> t -> t
+  val with_cache : solve Rlc_memo.Memo.t -> t -> t
   val with_adaptive : Rlc_circuit.Engine.adaptive -> t -> t
 end
 

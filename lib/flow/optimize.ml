@@ -260,7 +260,11 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
   in
   let t_start = Unix.gettimeofday () in
   let ch0, cm0, _ = Characterize.stats () in
-  let hh0, hm0 = Engine.Compiled.cache_stats () in
+  let handles () =
+    let (Rlc_memo.Memo.View m) = Engine.Compiled.memo in
+    Rlc_memo.Memo.stats m
+  in
+  let h0 = handles () in
   match Flow.time ?tech cfg ~spef ~spec () with
   | Error _ as e -> e
   | Ok handle -> (
@@ -414,7 +418,7 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
               let count p = Array.fold_left (fun a f -> if p f then a + 1 else a) 0 fixes in
               let sum p = Array.fold_left (fun a f -> a + p f) 0 fixes in
               let ch1, cm1, _ = Characterize.stats () in
-              let hh1, hm1 = Engine.Compiled.cache_stats () in
+              let h1 = handles () in
               let stats =
                 {
                   o_nets = n;
@@ -431,8 +435,8 @@ let run ?tech ?(sizes = default_sizes) ?(repeaters = true) ?(max_stages = 4) ~re
                   o_escalations = sum (fun f -> f.f_escalations);
                   o_char_hits = ch1 - ch0;
                   o_char_misses = cm1 - cm0;
-                  o_handle_hits = hh1 - hh0;
-                  o_handle_misses = hm1 - hm0;
+                  o_handle_hits = h1.hits - h0.hits;
+                  o_handle_misses = h1.misses - h0.misses;
                   o_jobs_used = jobs_used;
                   o_seconds = Unix.gettimeofday () -. t_start;
                 }

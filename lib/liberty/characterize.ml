@@ -91,101 +91,54 @@ let characterize_arc tech ~size ~edge grid =
     tail_50_90 = lut t59;
   }
 
-(* Per-tech size-indexed store.  One [store] per (technology, grid) holds a
-   size-sorted array of characterized cells, so a sizing sweep over N
-   candidate sizes characterizes each size exactly once across all nets,
-   domains, and repeats — and callers (the optimizer, the dashboard) can ask
-   which sizes are already paid for.  The store is shared by every domain of
-   a parallel flow; guard it so concurrent lookups are safe.
-   Characterization itself runs outside the lock (it is deterministic, so a
-   rare duplicated run is only wasted work, never a wrong table — the first
-   insert wins). *)
-type store = { mutable entries : (float * Table.cell) array  (* sorted by size *) }
+(* One process-wide bounded memo of characterized cells, shared by every
+   domain, so a sizing sweep over N candidate sizes characterizes each size
+   once across all nets, domains and repeats, while a daemon fed ever new
+   sizes keeps at most [capacity] cells.  The key is the technology name,
+   every grid float and the size, each float as its exact [%h] image: a
+   cell on another grid never returns stale tables, however close the
+   grids.  Characterization is deterministic, so a cell is a pure function
+   of its key: a racing duplicate or an evicted cell recomputes the same
+   table (the first insert wins). *)
+let capacity = 64
+let cells : Table.cell Rlc_memo.Memo.t = Rlc_memo.Memo.create ~shards:1 ~capacity ()
+let memo = Rlc_memo.Memo.View cells
 
-let stores : (string * float array * float array, store) Hashtbl.t = Hashtbl.create 4
-let cache_mutex = Mutex.create ()
+let stats () =
+  let s = Rlc_memo.Memo.stats cells in
+  (s.hits, s.misses, s.entries + s.evictions)
 
-(* Global visibility counters: sweep-scale loops live or die on this memo,
-   so hit/miss/store totals are first-class (surfaced in flow/optimize
-   stats and the daemon's metrics exposition). *)
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-let stored = Atomic.make 0
+let clear_cache () = Rlc_memo.Memo.clear cells
 
-let stats () = (Atomic.get hits, Atomic.get misses, Atomic.get stored)
-
-let with_cache f =
-  Mutex.lock cache_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
-
-let clear_cache () = with_cache (fun () -> Hashtbl.reset stores)
-
-(* The grid's values are the store key: characterizing the same cell on a
-   different grid must not return stale tables.  A key hashed down to an int
-   would not do — [Hashtbl.hash] reads only the first 10 floats — whereas
-   here a hash collision only shares a bucket.  The stored key is a copy,
-   so a caller mutating its grid cannot move it. *)
-let store_for ~grid tech =
-  match Hashtbl.find_opt stores (tech.Tech.name, grid.slews, grid.caps) with
-  | Some s -> s
-  | None ->
-      let s = { entries = [||] } in
-      Hashtbl.add stores (tech.Tech.name, Array.copy grid.slews, Array.copy grid.caps) s;
-      s
-
-let find_size entries size =
-  let lo = ref 0 and hi = ref (Array.length entries - 1) and found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let s, c = entries.(mid) in
-    if s = size then begin
-      found := Some c;
-      lo := !hi + 1
-    end
-    else if s < size then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
-let sizes ?(grid = default_grid) tech =
-  with_cache (fun () ->
-      let st = store_for ~grid tech in
-      Array.to_list (Array.map fst st.entries))
+let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a))
 
 let cell ?(obs = Rlc_obs.Obs.null) ?(grid = default_grid) tech ~size =
-  let module Obs = Rlc_obs.Obs in
-  let st = with_cache (fun () -> store_for ~grid tech) in
-  match with_cache (fun () -> find_size st.entries size) with
-  | Some c ->
-      Atomic.incr hits;
-      Obs.incr obs "char.hits";
-      c
-  | None ->
-      Atomic.incr misses;
-      Obs.incr obs "char.misses";
-      let rise = characterize_arc tech ~size ~edge:Testbench.Rise grid in
-      let fall = characterize_arc tech ~size ~edge:Testbench.Fall grid in
-      let c =
-        {
-          Table.name = Printf.sprintf "inv_%gx" size;
-          drive_size = size;
-          vdd = tech.Tech.vdd;
-          input_cap = Inverter.input_cap (Inverter.make tech ~size);
-          rise;
-          fall;
-        }
-      in
-      with_cache (fun () ->
-          (* First insert wins so concurrent domains agree on the table. *)
-          match find_size st.entries size with
-          | Some existing -> existing
-          | None ->
-              let arr = Array.append st.entries [| (size, c) |] in
-              Array.sort (fun (a, _) (b, _) -> Float.compare a b) arr;
-              st.entries <- arr;
-              Atomic.incr stored;
-              Obs.incr obs "char.stores";
-              c)
+  let key =
+    Printf.sprintf "%S %h [%s] [%s]" tech.Tech.name size (floats grid.slews) (floats grid.caps)
+  in
+  let characterize () =
+    let rise = characterize_arc tech ~size ~edge:Testbench.Rise grid in
+    let fall = characterize_arc tech ~size ~edge:Testbench.Fall grid in
+    {
+      Table.name = Printf.sprintf "inv_%gx" size;
+      drive_size = size;
+      vdd = tech.Tech.vdd;
+      input_cap = Inverter.input_cap (Inverter.make tech ~size);
+      rise;
+      fall;
+    }
+  in
+  let mine = ref None in
+  let c, hit =
+    Rlc_memo.Memo.find_or_add cells key (fun () ->
+        let c = characterize () in
+        mine := Some c;
+        c)
+  in
+  Rlc_obs.Obs.incr obs (if hit then "char.hits" else "char.misses");
+  (* A racing domain's first insert wins: count a store only for ours. *)
+  if Option.fold ~none:false ~some:(( == ) c) !mine then Rlc_obs.Obs.incr obs "char.stores";
+  c
 
 (* Result-returning variants for embedders (the service daemon, the CLI)
    that must answer with a typed error instead of dying on a bad driver

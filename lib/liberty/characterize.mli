@@ -5,7 +5,7 @@
     capacitance), measured with the shared {!Rlc_waveform.Measure}
     conventions and ended right after the last crossing it measures, so
     the numbers are bitwise those of the whole conservative window.
-    Results are memoized per (technology, size, grid) because the
+    Results are memoized per (technology, grid, size) because the
     effective-capacitance iterations hit the same cell repeatedly. *)
 
 type grid = {
@@ -24,24 +24,30 @@ val cell_res :
   size:float ->
   (Table.cell, Rlc_errors.Error.t) result
 (** Characterize both output arcs of an inverter of the given size.
-    Results are memoized in a per-(technology, grid) size-indexed store
-    shared across domains; repeated calls are free, and a sizing sweep over
-    N candidate sizes pays for each size exactly once.  [obs] bumps
-    ["char.hits"] / ["char.misses"] / ["char.stores"] counters (the same
-    totals are always available via {!stats}).  The user-reachable exits
+    Results are memoized in one process-wide bounded {!Rlc_memo.Memo}
+    shared across domains, keyed by the technology name, every grid float
+    and the size (floats by their exact [%h] image): repeated calls are
+    free, and a sizing sweep over N candidate sizes pays for each size
+    once.  The memo holds at most {!capacity} cells, so a daemon fed ever
+    new sizes stays bounded; an evicted cell is recharacterized to the
+    same bits.  [obs] bumps ["char.hits"] / ["char.misses"] /
+    ["char.stores"] (the same totals are always available via {!stats}).  The user-reachable exits
     are typed: a non-positive size is {!Rlc_errors.Error.Bad_request},
     a grid point whose waveform never completes is
     {!Rlc_errors.Error.Internal}. *)
 
-val stats : unit -> int * int * int
-(** [(hits, misses, stores)] of the characterization memo since start,
-    summed over every technology, grid, and domain.  [stores <= misses];
-    the gap is concurrent domains racing to characterize the same cell
-    (first insert wins). *)
+val capacity : int
+(** 64 cells (one shard, so the bound is exact). *)
 
-val sizes : ?grid:grid -> Rlc_devices.Tech.t -> float list
-(** The driver sizes already characterized for this (technology, grid),
-    ascending.  Lets a sweep report its table-reuse footprint. *)
+val memo : Rlc_memo.Memo.view
+(** The cell memo, for its counters. *)
+
+val stats : unit -> int * int * int
+(** [(hits, misses, stores)] of the cell memo since start, summed over
+    every technology, grid, and domain; [stores] is the memo's
+    [entries + evictions].  [stores <= misses]; the gap is concurrent
+    domains racing to characterize the same cell (first insert wins).
+    Monotone: {!clear_cache} counts the cells it drops as evictions. *)
 
 val clear_cache : unit -> unit
 

@@ -1,8 +1,7 @@
 (* Hash-partitioned shards: each shard owns a table, a mutex, its own
    hit/miss/eviction counters and a fixed ring of [cap] slots swept by a
-   clock hand, so concurrent requests hitting a shared cache contend only
-   when their keys land on the same shard.  Aggregate stats are sums over
-   shards. *)
+   clock hand, so concurrent callers contend only when their keys land on
+   the same shard.  Aggregate stats are sums over shards. *)
 
 type 'a entry = { key : string; value : 'a; mutable referenced : bool }
 
@@ -22,8 +21,8 @@ type 'a t = {
   mask : int;
 }
 
-let default_shards = 16
-let default_capacity = 2048
+type stats = { entries : int; hits : int; misses : int; evictions : int }
+type view = View : 'a t -> view
 
 let make_shard cap =
   {
@@ -37,7 +36,7 @@ let make_shard cap =
     evictions = 0;
   }
 
-let create ?(shards = default_shards) ?(capacity = default_capacity) () =
+let create ?(shards = 16) ~capacity () =
   let requested = Int.max 1 shards in
   let n = ref 1 in
   while !n < requested do
@@ -48,6 +47,7 @@ let create ?(shards = default_shards) ?(capacity = default_capacity) () =
 
 let shard_of t key = t.shards.(Hashtbl.hash key land t.mask)
 let shards t = Array.length t.shards
+let capacity t = Array.length t.shards * Array.length t.shards.(0).ring
 
 let locked s f =
   Mutex.lock s.mutex;
@@ -98,48 +98,59 @@ let find_or_add t key compute =
         locked s (fun () ->
             s.misses <- s.misses + 1;
             match Hashtbl.find_opt s.table key with
-            | Some e -> e.value (* a racing domain inserted the same pure result first *)
+            | Some e -> e.value (* a racing domain inserted the same result first *)
             | None ->
                 insert s { key; value = v; referenced = false };
                 v)
       in
       (v, false)
 
-let sum_over t f = Array.fold_left (fun acc s -> acc + locked s (fun () -> f s)) 0 t.shards
-let hits t = sum_over t (fun s -> s.hits)
-let misses t = sum_over t (fun s -> s.misses)
-let evictions t = sum_over t (fun s -> s.evictions)
-let length t = sum_over t (fun s -> Hashtbl.length s.table)
-
-type shard_stat = { s_length : int; s_hits : int; s_misses : int; s_evictions : int }
-
 let shard_stats t =
   Array.map
     (fun s ->
       locked s (fun () ->
           {
-            s_length = Hashtbl.length s.table;
-            s_hits = s.hits;
-            s_misses = s.misses;
-            s_evictions = s.evictions;
+            entries = Hashtbl.length s.table;
+            hits = s.hits;
+            misses = s.misses;
+            evictions = s.evictions;
           }))
     t.shards
 
-let clear t =
+let sum stats =
+  Array.fold_left
+    (fun a s ->
+      {
+        entries = a.entries + s.entries;
+        hits = a.hits + s.hits;
+        misses = a.misses + s.misses;
+        evictions = a.evictions + s.evictions;
+      })
+    { entries = 0; hits = 0; misses = 0; evictions = 0 }
+    stats
+
+let stats t = sum (shard_stats t)
+
+(* Survivors keep their clock order from the hand and close up at the front
+   of the ring, so the ring's invariant (slots [0, used) filled) holds. *)
+let remove_if t drop =
   Array.iter
     (fun s ->
       locked s (fun () ->
-          Hashtbl.reset s.table;
-          Array.fill s.ring 0 (Array.length s.ring) None;
-          s.used <- 0;
-          s.hand <- 0;
-          s.hits <- 0;
-          s.misses <- 0;
-          s.evictions <- 0))
+          let cap = Array.length s.ring in
+          let kept = ref [] in
+          for k = cap - 1 downto 0 do
+            match s.ring.((s.hand + k) mod cap) with
+            | Some e when drop e.key ->
+                Hashtbl.remove s.table e.key;
+                s.evictions <- s.evictions + 1
+            | Some e -> kept := Some e :: !kept
+            | None -> ()
+          done;
+          Array.fill s.ring 0 cap None;
+          List.iteri (fun i e -> s.ring.(i) <- e) !kept;
+          s.used <- List.length !kept;
+          s.hand <- 0))
     t.shards
 
-let quantize ?(digits = 9) x =
-  if Float.is_nan x || Float.is_integer x || not (Float.is_finite x) then x
-  else float_of_string (Printf.sprintf "%.*e" (digits - 1) x)
-
-let quantize_slew ?(grid = 0.1e-12) s = Float.round (s /. grid) *. grid
+let clear t = remove_if t (fun _ -> true)

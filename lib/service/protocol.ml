@@ -77,10 +77,14 @@ let req_field name conv what fields =
       | Some x -> Ok x
       | None -> bad "field %S must be %s" name what)
 
+(* A JSON number too large for a float (say 1e999) parses to infinity, and
+   no request field means that: every numeric reader goes through here. *)
+let finite v = match Json.get_float v with Some x when Float.is_finite x -> Some x | _ -> None
+
 let str_opt name = opt_field name Json.get_string "a string"
-let num_opt name = opt_field name Json.get_float "a number"
+let num_opt name = opt_field name finite "a finite number"
 let bool_opt name = opt_field name Json.get_bool "a boolean"
-let num_req name = req_field name Json.get_float "a number"
+let num_req name = req_field name finite "a finite number"
 
 let positive name = function
   | Some x when x <= 0. -> bad "field %S must be positive" name
@@ -164,14 +168,13 @@ let edit_map name conv what fields =
       |> Result.map List.rev
   | Some _ -> bad "field %S must be an object" name
 
-let get_pos_float v =
-  match Json.get_float v with Some x when x > 0. -> Some x | Some _ | None -> None
+let get_pos_float v = match finite v with Some x when x > 0. -> Some x | Some _ | None -> None
 
 let parse_flow_delta fields =
   let* d_handle = req_field "handle" Json.get_string "a string" fields in
   let* d_nets = edit_map "nets" Json.get_string "a string (*D_NET block)" fields in
-  let* d_drivers = edit_map "drivers" get_pos_float "a positive number" fields in
-  let* d_slews_ps = edit_map "slews_ps" get_pos_float "a positive number" fields in
+  let* d_drivers = edit_map "drivers" get_pos_float "a positive finite number" fields in
+  let* d_slews_ps = edit_map "slews_ps" get_pos_float "a positive finite number" fields in
   if d_nets = [] && d_drivers = [] && d_slews_ps = [] then
     bad "a flow_delta needs at least one edit (%S, %S or %S)" "nets" "drivers" "slews_ps"
   else Ok (Flow_delta { d_handle; d_nets; d_drivers; d_slews_ps })

@@ -303,19 +303,13 @@ let dispatch t ~deadline ~trace (kind : Protocol.kind) :
       let s = Session.stats t.session in
       let d = Session.design_stats t.session in
       ( Ok
-          [
-            ("uptime_s", Json.Float s.Session.uptime_s);
-            ("requests_served", Json.Int s.Session.requests_served);
-            ("requests_failed", Json.Int s.Session.requests_failed);
-            ( "cache",
-              Json.Obj
-                [
-                  ("entries", Json.Int s.Session.cache_entries);
-                  ("hits", Json.Int s.Session.cache_hits);
-                  ("misses", Json.Int s.Session.cache_misses);
-                  ("evictions", Json.Int s.Session.cache_evictions);
-                  ("shards", Telemetry.shards_json (Session.shard_stats t.session));
-                ] );
+          ([
+             ("uptime_s", Json.Float s.Session.uptime_s);
+             ("requests_served", Json.Int s.Session.requests_served);
+             ("requests_failed", Json.Int s.Session.requests_failed);
+           ]
+          @ Telemetry.memo_blocks (Telemetry.memos t.session)
+          @ [
             ( "designs",
               Json.Obj
                 [
@@ -331,7 +325,7 @@ let dispatch t ~deadline ~trace (kind : Protocol.kind) :
                   ("queue_capacity", Json.Int t.queue_capacity);
                   ("queue_depth", Json.Int (Atomic.get t.queue_depth));
                 ] );
-          ],
+          ]),
         `Continue )
   | Protocol.Metrics ->
       ( Ok

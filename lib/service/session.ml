@@ -93,7 +93,7 @@ type design_entry = {
 type t = {
   config : Config.t;
   pool : Pool.t;
-  cache : Flow.solve Rlc_flow.Cache.t;
+  cache : Flow.solve Rlc_memo.Memo.t;
   started_at : float;
   (* counted from concurrent server worker domains *)
   served : int Atomic.t;
@@ -110,10 +110,6 @@ type stats = {
   uptime_s : float;
   requests_served : int;
   requests_failed : int;
-  cache_entries : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
 }
 
 type design_store_stats = {
@@ -155,17 +151,13 @@ let note t ~ok = Atomic.incr (if ok then t.served else t.failed)
 
 let is_closed t = t.closed
 
-let shard_stats t = Rlc_flow.Cache.shard_stats t.cache
+let cache t = t.cache
 
 let stats t =
   {
     uptime_s = Unix.gettimeofday () -. t.started_at;
     requests_served = Atomic.get t.served;
     requests_failed = Atomic.get t.failed;
-    cache_entries = Rlc_flow.Cache.length t.cache;
-    cache_hits = Rlc_flow.Cache.hits t.cache;
-    cache_misses = Rlc_flow.Cache.misses t.cache;
-    cache_evictions = Rlc_flow.Cache.evictions t.cache;
   }
 
 let with_lock m f =

@@ -194,10 +194,6 @@ type stats = {
   uptime_s : float;
   requests_served : int;
   requests_failed : int;
-  cache_entries : int;  (** Ceff cache population *)
-  cache_hits : int;  (** cumulative since [create] *)
-  cache_misses : int;
-  cache_evictions : int;  (** entries the bounded cache dropped to make room *)
 }
 
 type design_store_stats = {
@@ -216,7 +212,7 @@ val design_stats : t -> design_store_stats
 (** Design-store pressure, surfaced by the [stats]/[metrics] responses so
     [top] can show a v2 daemon's resident-design footprint. *)
 
-val shard_stats : t -> Rlc_flow.Cache.shard_stat array
-(** Per-shard population and hit/miss counters of the session's Ceff
-    cache, index-ordered — the telemetry layer surfaces these in the
-    [stats] and [metrics] responses. *)
+val cache : t -> Rlc_flow.Flow.solve Rlc_memo.Memo.t
+(** The session's Ceff cache, shared by every request it serves — the
+    telemetry layer reports its counters in the [stats] and [metrics]
+    responses. *)

@@ -11,7 +11,7 @@
 
 module Obs = Rlc_obs.Obs
 module Window = Rlc_obs.Window
-module Cache = Rlc_flow.Cache
+module Memo = Rlc_memo.Memo
 
 type server_info = { workers : int; queue_capacity : int; queue_depth : int }
 
@@ -19,18 +19,52 @@ type server_info = { workers : int; queue_capacity : int; queue_depth : int }
    actually full, giving load balancers a margin to drain. *)
 let high_water capacity = Int.max 1 (((4 * capacity) + 4) / 5)
 
-(* ------------------------------------------------------------- helpers *)
+(* --------------------------------------------------------------- memos *)
 
-let shard_json (s : Cache.shard_stat) =
-  Json.Obj
+type memo_report = {
+  block : string;
+  family : string;
+  what : string;
+  capacity : int;
+  total : Memo.stats;
+  shards : Memo.stats array;
+}
+
+let memos session =
+  List.map
+    (fun (block, family, what, Memo.View m) ->
+      let shards = Memo.shard_stats m in
+      { block; family; what; capacity = Memo.capacity m; total = Memo.sum shards; shards })
     [
-      ("entries", Json.Int s.Cache.s_length);
-      ("hits", Json.Int s.Cache.s_hits);
-      ("misses", Json.Int s.Cache.s_misses);
-      ("evictions", Json.Int s.Cache.s_evictions);
+      ("cache", "cache", "Ceff cache", Memo.View (Session.cache session));
+      ("characterization", "char", "Characterization memo", Rlc_liberty.Characterize.memo);
+      ("handles", "handle", "Compiled transient-handle cache", Rlc_circuit.Engine.Compiled.memo);
     ]
 
-let shards_json shards = Json.List (Array.to_list (Array.map shard_json shards))
+let stats_fields (s : Memo.stats) =
+  [
+    ("entries", Json.Int s.entries);
+    ("hits", Json.Int s.hits);
+    ("misses", Json.Int s.misses);
+    ("evictions", Json.Int s.evictions);
+  ]
+
+let memo_blocks reports =
+  List.map
+    (fun r ->
+      ( r.block,
+        Json.Obj
+          (stats_fields r.total
+          @ [
+              ("stores", Json.Int (r.total.entries + r.total.evictions));
+              ("capacity", Json.Int r.capacity);
+              ( "shards",
+                Json.List (Array.to_list (Array.map (fun s -> Json.Obj (stats_fields s)) r.shards))
+              );
+            ]) ))
+    reports
+
+(* ------------------------------------------------------------- helpers *)
 
 let latest_counter window name =
   match Window.latest window with
@@ -115,7 +149,7 @@ let prom_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-let prometheus ~(stats : Session.stats) ~shards ~(designs : Session.design_store_stats) ~server
+let prometheus ~(stats : Session.stats) ~memos ~(designs : Session.design_store_stats) ~server
     ~window () =
   let b = Buffer.create 4096 in
   let meta name typ help =
@@ -169,23 +203,25 @@ let prometheus ~(stats : Session.stats) ~shards ~(designs : Session.design_store
     (float_of_int server.queue_capacity);
   gauge "service_queue_depth" "Requests currently queued."
     (float_of_int server.queue_depth);
-  gauge "service_cache_entries" "Ceff cache population."
-    (float_of_int stats.Session.cache_entries);
-  counter "service_cache_hits_total" "Ceff cache hits since start."
-    stats.Session.cache_hits;
-  counter "service_cache_misses_total" "Ceff cache misses since start."
-    stats.Session.cache_misses;
-  counter "service_cache_evictions_total" "Ceff cache evictions since start."
-    stats.Session.cache_evictions;
-  let ch, cm, cs = Rlc_liberty.Characterize.stats () in
-  counter "service_char_hits_total" "Characterization-memo hits since start." ch;
-  counter "service_char_misses_total" "Characterization-memo misses since start." cm;
-  counter "service_char_stores_total" "Characterized cells stored since start." cs;
-  let hh, hm = Rlc_circuit.Engine.Compiled.cache_stats () in
-  counter "service_handle_hits_total"
-    "Compiled transient-handle cache hits since start." hh;
-  counter "service_handle_misses_total"
-    "Compiled transient-handle cache misses since start." hm;
+  List.iter
+    (fun r ->
+      let name suffix = Printf.sprintf "service_%s_%s" r.family suffix in
+      gauge (name "entries") (r.what ^ " population.") (float_of_int r.total.entries);
+      counter (name "hits_total") (r.what ^ " hits since start.") r.total.hits;
+      counter (name "misses_total") (r.what ^ " misses since start.") r.total.misses;
+      counter (name "evictions_total") (r.what ^ " evictions since start.") r.total.evictions;
+      let by_shard suffix typ help field =
+        meta (name suffix) typ (r.what ^ " " ^ help ^ ", by shard.");
+        Array.iteri
+          (fun i s ->
+            sample (name suffix) ~labels:(Printf.sprintf "{shard=\"%d\"}" i)
+              (string_of_int (field s)))
+          r.shards
+      in
+      by_shard "shard_entries" "gauge" "population" (fun (s : Memo.stats) -> s.entries);
+      by_shard "shard_hits_total" "counter" "hits since start" (fun s -> s.hits);
+      by_shard "shard_misses_total" "counter" "misses since start" (fun s -> s.misses))
+    memos;
   gauge "service_designs_resident" "Designs resident in the ECO store."
     (float_of_int designs.Session.ds_handles);
   gauge "service_designs_capacity" "ECO design store capacity."
@@ -194,32 +230,6 @@ let prometheus ~(stats : Session.stats) ~shards ~(designs : Session.design_store
     (float_of_int designs.Session.ds_nets);
   counter "service_designs_evictions_total" "LRU design evictions since start."
     designs.Session.ds_evictions;
-  if Array.length shards > 0 then begin
-    meta "service_cache_shard_entries" "gauge"
-      "Ceff cache population, by shard.";
-    Array.iteri
-      (fun i (s : Cache.shard_stat) ->
-        sample "service_cache_shard_entries"
-          ~labels:(Printf.sprintf "{shard=\"%d\"}" i)
-          (string_of_int s.Cache.s_length))
-      shards;
-    meta "service_cache_shard_hits_total" "counter"
-      "Ceff cache hits since start, by shard.";
-    Array.iteri
-      (fun i (s : Cache.shard_stat) ->
-        sample "service_cache_shard_hits_total"
-          ~labels:(Printf.sprintf "{shard=\"%d\"}" i)
-          (string_of_int s.Cache.s_hits))
-      shards;
-    meta "service_cache_shard_misses_total" "counter"
-      "Ceff cache misses since start, by shard.";
-    Array.iteri
-      (fun i (s : Cache.shard_stat) ->
-        sample "service_cache_shard_misses_total"
-          ~labels:(Printf.sprintf "{shard=\"%d\"}" i)
-          (string_of_int s.Cache.s_misses))
-      shards
-  end;
   let histogram name help (st : Obs.stat_summary) =
     meta name "histogram" help;
     let cum = ref 0 in
@@ -252,7 +262,7 @@ let ms_of_s v = v *. 1e3
 
 let metrics_fields ~session ~server ~window () =
   let stats = Session.stats session in
-  let shards = Session.shard_stats session in
+  let memos = memos session in
   let designs = Session.design_stats session in
   let wv = window_view ~workers:server.workers window in
   [
@@ -294,24 +304,9 @@ let metrics_fields ~session ~server ~window () =
           ("queue_depth", Json.Int server.queue_depth);
           ("queue_high_water", Json.Int (high_water server.queue_capacity));
         ] );
-    ( "cache",
-      Json.Obj
-        [
-          ("entries", Json.Int stats.Session.cache_entries);
-          ("hits", Json.Int stats.Session.cache_hits);
-          ("misses", Json.Int stats.Session.cache_misses);
-          ("evictions", Json.Int stats.Session.cache_evictions);
-          ("shards", shards_json shards);
-        ] );
-    ( "characterization",
-      (* Process-global memo counters (the table is shared by every session
-         and one-shot flow in the process), exact like the cache atomics. *)
-      let ch, cm, cs = Rlc_liberty.Characterize.stats () in
-      Json.Obj
-        [ ("hits", Json.Int ch); ("misses", Json.Int cm); ("stores", Json.Int cs) ] );
-    ( "handles",
-      let hh, hm = Rlc_circuit.Engine.Compiled.cache_stats () in
-      Json.Obj [ ("hits", Json.Int hh); ("misses", Json.Int hm) ] );
+  ]
+  @ memo_blocks memos
+  @ [
     ( "designs",
       Json.Obj
         [
@@ -320,7 +315,7 @@ let metrics_fields ~session ~server ~window () =
           ("nets", Json.Int designs.Session.ds_nets);
           ("evictions", Json.Int designs.Session.ds_evictions);
         ] );
-    ("prometheus", Json.Str (prometheus ~stats ~shards ~designs ~server ~window ()));
+    ("prometheus", Json.Str (prometheus ~stats ~memos ~designs ~server ~window ()));
   ]
 
 let health_fields ~session ~server ~window () =

@@ -14,9 +14,21 @@ val high_water : int -> int
 (** Readiness threshold for the admission queue: [ceil(0.8 * capacity)],
     at least 1.  [health] reports not-ready once the depth reaches it. *)
 
-val shards_json : Rlc_flow.Cache.shard_stat array -> Json.t
-(** Per-shard cache stats as a JSON list of [{entries, hits, misses}] —
-    shared by the [stats] and [metrics] responses. *)
+type memo_report
+(** One snapshot of a {!Rlc_memo.Memo}'s counters, per shard and in total,
+    with its capacity and the names it is reported under. *)
+
+val memos : Session.t -> memo_report list
+(** Snapshot the three memos a daemon reports: the session's Ceff cache
+    (JSON block [cache], Prometheus [service_cache_*]), the process-wide
+    characterized-cell memo ([characterization], [service_char_*]) and
+    the compiled transient-handle memo ([handles], [service_handle_*]). *)
+
+val memo_blocks : memo_report list -> (string * Json.t) list
+(** One JSON block per memo: [entries], [hits], [misses], [evictions],
+    [stores] (= [entries + evictions], every insert since start),
+    [capacity], and [shards] (a list of [{entries, hits, misses,
+    evictions}]) — shared by the [stats] and [metrics] responses. *)
 
 val metrics_fields :
   session:Session.t ->
@@ -27,8 +39,7 @@ val metrics_fields :
 (** The [metrics] response body: [uptime_s], exact [totals], per-kind
     counters, a [window] block (req/s, timeout/rejection rates, cache hit
     ratio, p50/p95/p99 ms via {!Rlc_obs.Obs.Histogram.quantile}, worker
-    utilization), [server] gauges, [cache] aggregate + per-shard stats, a
-    [designs] block ({!Session.design_stats} — ECO store pressure for
+    utilization), [server] gauges, the {!memo_blocks}, a [designs] block ({!Session.design_stats} — ECO store pressure for
     [top]), and the full Prometheus text exposition under ["prometheus"].
     Window-derived floats are [nan] (rendered as JSON [null]) when the
     window lacks data — fewer than two samples, or no traffic.  The
@@ -50,7 +61,7 @@ val health_fields :
 
 val prometheus :
   stats:Session.stats ->
-  shards:Rlc_flow.Cache.shard_stat array ->
+  memos:memo_report list ->
   designs:Session.design_store_stats ->
   server:server_info ->
   window:Rlc_obs.Window.t ->

@@ -856,18 +856,22 @@ let test_compiled_restamp () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "restamp with extra element must raise"
 
+let handle_stats () =
+  let (Rlc_memo.Memo.View m) = Engine.Compiled.memo in
+  Rlc_memo.Memo.stats m
+
 let test_compiled_cache_keying () =
   Engine.Compiled.clear_cache ();
-  let h0, m0 = Engine.Compiled.cache_stats () in
+  let s0 = handle_stats () in
   let nl1, _ = build_rc_pair 1e3 1e-12 in
   let ha = Engine.Compiled.cached nl1 in
   (* Same structure, different values: must hit and restamp, not rebuild. *)
   let nl2, out2 = build_rc_pair 2e3 2e-12 in
   let hb = Engine.Compiled.cached nl2 in
   Alcotest.(check bool) "same-structure netlists share the handle" true (ha == hb);
-  let h1, m1 = Engine.Compiled.cache_stats () in
-  Alcotest.(check int) "first lookup missed" 1 (m1 - m0);
-  Alcotest.(check int) "second lookup hit" 1 (h1 - h0);
+  let s1 = handle_stats () in
+  Alcotest.(check int) "first lookup missed" 1 (s1.misses - s0.misses);
+  Alcotest.(check int) "second lookup hit" 1 (s1.hits - s0.hits);
   (* The restamped hit must still be exact. *)
   let r = Engine.Compiled.run ~dt:5e-12 ~t_stop:2e-9 hb in
   let fresh = Engine.transient ~dt:5e-12 ~t_stop:2e-9 nl2 in
@@ -877,8 +881,61 @@ let test_compiled_cache_keying () =
   Netlist.capacitor nl3 out3 Netlist.ground 5e-15;
   let hc = Engine.Compiled.cached nl3 in
   Alcotest.(check bool) "different structure gets its own handle" true (hc != ha);
-  let _, m2 = Engine.Compiled.cache_stats () in
-  Alcotest.(check int) "topology change missed" 1 (m2 - m1);
+  let s2 = handle_stats () in
+  Alcotest.(check int) "topology change missed" 1 (s2.misses - s1.misses);
+  Engine.Compiled.clear_cache ()
+
+let test_compiled_cache_per_domain () =
+  (* Handle scratch is mutated by every run, so two domains caching one
+     structure must each get their own handle, and an exited domain's
+     handles must not stay resident. *)
+  Engine.Compiled.clear_cache ();
+  let s0 = handle_stats () in
+  let in_domain () =
+    Domain.join (Domain.spawn (fun () -> Engine.Compiled.cached (fst (build_rc_pair 1e3 1e-12))))
+  in
+  let h1 = in_domain () and h2 = in_domain () in
+  let here = Engine.Compiled.cached (fst (build_rc_pair 1e3 1e-12)) in
+  Alcotest.(check bool) "two domains, two handles" true (h1 != h2);
+  Alcotest.(check bool) "the calling domain has its own" true (here != h1 && here != h2);
+  let s1 = handle_stats () in
+  Alcotest.(check int) "three misses" 3 (s1.misses - s0.misses);
+  Alcotest.(check int) "no hits" 0 (s1.hits - s0.hits);
+  (* A domain drops its handles when it exits. *)
+  Alcotest.(check int) "only the live domain's handle stays" 1 s1.entries;
+  Alcotest.(check int) "the exited domains' handles were evicted" 2
+    (s1.evictions - s0.evictions);
+  Engine.Compiled.clear_cache ()
+
+let test_compiled_cache_bounded () =
+  (* More distinct structures than the memo holds: the entry count stays
+     within the capacity, and a handle evicted on the way is compiled again
+     and runs bit-identically to a fresh transient. *)
+  Engine.Compiled.clear_cache ();
+  let (Rlc_memo.Memo.View m) = Engine.Compiled.memo in
+  let capacity = Rlc_memo.Memo.capacity m in
+  let with_caps k =
+    let nl, out = build_rc_pair 1e3 1e-12 in
+    for _ = 1 to k do
+      Netlist.capacitor nl out Netlist.ground 1e-15
+    done;
+    nl
+  in
+  ignore (Engine.Compiled.cached (fst (build_rc_pair 1e3 1e-12)));
+  for k = 1 to 2 * capacity do
+    ignore (Engine.Compiled.cached (with_caps k))
+  done;
+  let s = handle_stats () in
+  Alcotest.(check bool)
+    (Printf.sprintf "entries %d <= capacity %d" s.entries capacity)
+    true (s.entries <= capacity);
+  Alcotest.(check bool) "evicted" true (s.evictions > 0);
+  let nl, out = build_rc_pair 2e3 2e-12 in
+  let h = Engine.Compiled.cached nl in
+  Alcotest.(check int) "the first structure was evicted and recompiled" (s.misses + 1)
+    (handle_stats ()).misses;
+  let fresh = Engine.transient ~dt:5e-12 ~t_stop:2e-9 nl in
+  assert_same_waveform "recompiled handle" fresh (Engine.Compiled.run ~dt:5e-12 ~t_stop:2e-9 h) out;
   Engine.Compiled.clear_cache ()
 
 (* ------------------------------------------------------------ max-final *)
@@ -1328,6 +1385,10 @@ let () =
             test_compiled_restamp;
           Alcotest.test_case "handle cache keys on structure" `Quick
             test_compiled_cache_keying;
+          Alcotest.test_case "handle cache: one handle per domain" `Quick
+            test_compiled_cache_per_domain;
+          Alcotest.test_case "handle cache: bounded, evicted handle recompiles exactly" `Quick
+            test_compiled_cache_bounded;
           Alcotest.test_case "RLC early stop is a prefix (trap/BE x fixed/adaptive)" `Quick
             test_stop_rlc;
           Alcotest.test_case "coupled early stop is a prefix (trap/BE x fixed/adaptive)" `Quick

@@ -1,9 +1,9 @@
 (* Rlc_flow tests: spec parsing, design ingest + levelization, the domain
-   pool, the result cache, and the flow's determinism across jobs counts. *)
+   pool, the bounded memo behind the result cache, and the flow's determinism across jobs counts. *)
 
 module Spec = Rlc_flow.Spec
 module Design = Rlc_flow.Design
-module Cache = Rlc_flow.Cache
+module Memo = Rlc_memo.Memo
 module Pool = Rlc_parallel.Pool
 module Flow = Rlc_flow.Flow
 module Report = Rlc_flow.Report
@@ -254,27 +254,31 @@ let test_pool_parallelism () =
 (* ------------------------------------------------------------- cache *)
 
 let test_cache_basics () =
-  let c : int Cache.t = Cache.create () in
+  let c : int Memo.t = Memo.create ~capacity:Flow.cache_capacity () in
   let calls = ref 0 in
   let compute () = incr calls; 42 in
-  let v, hit = Cache.find_or_add c "k" compute in
+  let v, hit = Memo.find_or_add c "k" compute in
   Alcotest.(check bool) "miss" false hit;
   Alcotest.(check int) "value" 42 v;
-  let v', hit' = Cache.find_or_add c "k" compute in
+  let v', hit' = Memo.find_or_add c "k" compute in
   Alcotest.(check bool) "hit" true hit';
   Alcotest.(check int) "same value" 42 v';
   Alcotest.(check int) "computed once" 1 !calls;
-  Alcotest.(check int) "hits" 1 (Cache.hits c);
-  Alcotest.(check int) "misses" 1 (Cache.misses c);
-  Alcotest.(check int) "length" 1 (Cache.length c);
-  Cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Cache.length c)
+  Alcotest.(check int) "hits" 1 (Memo.stats c).hits;
+  Alcotest.(check int) "misses" 1 (Memo.stats c).misses;
+  Alcotest.(check int) "length" 1 (Memo.stats c).entries;
+  Memo.clear c;
+  Alcotest.(check int) "cleared" 0 (Memo.stats c).entries;
+  (* Counters never go down: the dropped entry counts as an eviction. *)
+  Alcotest.(check int) "clear counts an eviction" 1 (Memo.stats c).evictions;
+  Alcotest.(check int) "hits survive clear" 1 (Memo.stats c).hits
 
 let test_cache_sharded_concurrent () =
-  let c : int Cache.t = Cache.create ~shards:4 () in
-  Alcotest.(check int) "power-of-two count kept" 4 (Cache.shards c);
-  Alcotest.(check int) "odd count rounds up" 8 (Cache.shards (Cache.create ~shards:5 () : int Cache.t));
-  Alcotest.(check int) "zero clamps to one shard" 1 (Cache.shards (Cache.create ~shards:0 () : int Cache.t));
+  let create shards : int Memo.t = Memo.create ~shards ~capacity:Flow.cache_capacity () in
+  let c = create 4 in
+  Alcotest.(check int) "power-of-two count kept" 4 (Memo.shards c);
+  Alcotest.(check int) "odd count rounds up" 8 (Memo.shards (create 5));
+  Alcotest.(check int) "zero clamps to one shard" 1 (Memo.shards (create 0));
   (* Hammer one cache from several domains.  Every find_or_add counts
      exactly one hit or one miss, values are first-insert-wins, and the
      per-shard stats must reconcile with the aggregate view. *)
@@ -284,40 +288,40 @@ let test_cache_sharded_concurrent () =
     for _ = 1 to rounds do
       Array.iter
         (fun k ->
-          let v, _hit = Cache.find_or_add c k (fun () -> String.length k) in
+          let v, _hit = Memo.find_or_add c k (fun () -> String.length k) in
           assert (v = String.length k))
         keys
     done
   in
   let domains = List.init writers (fun _ -> Domain.spawn worker) in
   List.iter Domain.join domains;
-  Alcotest.(check int) "one entry per distinct key" (Array.length keys) (Cache.length c);
+  let total = Memo.stats c in
+  Alcotest.(check int) "one entry per distinct key" (Array.length keys) total.entries;
   Alcotest.(check int) "hits + misses = lookups" (writers * rounds * Array.length keys)
-    (Cache.hits c + Cache.misses c);
+    (total.hits + total.misses);
   Alcotest.(check bool) "each key missed at least once" true
-    (Cache.misses c >= Array.length keys);
-  let stats = Cache.shard_stats c in
-  Alcotest.(check int) "one stat per shard" (Cache.shards c) (Array.length stats);
+    (total.misses >= Array.length keys);
+  let stats = Memo.shard_stats c in
+  Alcotest.(check int) "one stat per shard" (Memo.shards c) (Array.length stats);
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-  Alcotest.(check int) "shard lengths sum to length" (Cache.length c)
-    (sum (fun s -> s.Cache.s_length));
-  Alcotest.(check int) "shard hits sum to hits" (Cache.hits c) (sum (fun s -> s.Cache.s_hits));
-  Alcotest.(check int) "shard misses sum to misses" (Cache.misses c)
-    (sum (fun s -> s.Cache.s_misses));
-  Cache.clear c;
-  Alcotest.(check int) "clear empties every shard" 0 (Cache.length c)
+  Alcotest.(check int) "shard lengths sum to length" total.entries
+    (sum (fun (s : Memo.stats) -> s.entries));
+  Alcotest.(check int) "shard hits sum to hits" total.hits (sum (fun s -> s.hits));
+  Alcotest.(check int) "shard misses sum to misses" total.misses (sum (fun s -> s.misses));
+  Memo.clear c;
+  Alcotest.(check int) "clear empties every shard" 0 (Memo.stats c).entries
 
 let test_cache_quantize () =
-  let q = Cache.quantize ~digits:9 in
+  let q = Flow.quantize ~digits:9 in
   Alcotest.(check bool) "collapses tiny diffs" true (q 1.0000000001 = q 1.0000000002);
   Alcotest.(check bool) "keeps real diffs" true (q 1.001 <> q 1.002);
   Alcotest.(check (float 0.)) "exact zero" 0. (q 0.);
   Alcotest.(check bool) "nan passthrough" true (Float.is_nan (q Float.nan));
-  let qs = Cache.quantize_slew ~grid:0.1e-12 in
+  let qs = Flow.quantize_slew ~grid:0.1e-12 in
   Alcotest.(check (float 1e-30)) "snaps to grid" 100e-12 (qs 100.04e-12);
   Alcotest.(check bool) "same bucket same key" true (qs 50.01e-12 = qs 49.99e-12)
 
-let fill c keys = List.iter (fun k -> ignore (Cache.find_or_add c k (fun () -> k))) keys
+let fill c keys = List.iter (fun k -> ignore (Memo.find_or_add c k (fun () -> k))) keys
 let keys prefix n = List.init n (Printf.sprintf "%s%d" prefix)
 
 let test_cache_bounded_shards () =
@@ -325,68 +329,90 @@ let test_cache_bounded_shards () =
      arrive; a capacity below the shard count keeps one entry per shard. *)
   List.iter
     (fun (shards, capacity, per_shard) ->
-      let c : string Cache.t = Cache.create ~shards ~capacity () in
+      let c : string Memo.t = Memo.create ~shards ~capacity () in
       fill c (keys "k" 2000);
       Array.iteri
-        (fun i s ->
-          if s.Cache.s_length > per_shard then
+        (fun i (s : Memo.stats) ->
+          if s.entries > per_shard then
             Alcotest.failf "shards %d / capacity %d: shard %d holds %d > %d" shards capacity i
-              s.Cache.s_length per_shard)
-        (Cache.shard_stats c);
+              s.entries per_shard)
+        (Memo.shard_stats c);
+      Alcotest.(check int)
+        (Printf.sprintf "shards %d / capacity %d: capacity" shards capacity)
+        (shards * per_shard) (Memo.capacity c);
       Alcotest.(check bool)
         (Printf.sprintf "shards %d / capacity %d: bounded" shards capacity)
         true
-        (Cache.length c <= shards * per_shard))
-    [ (4, 32, 8); (16, 16, 1); (16, 4, 1); (16, Cache.default_capacity, 128) ]
+        ((Memo.stats c).entries <= shards * per_shard))
+    [ (4, 32, 8); (16, 16, 1); (16, 4, 1); (16, Flow.cache_capacity, 128) ]
 
 let test_cache_evictions_reconcile () =
-  let c : string Cache.t = Cache.create ~shards:4 ~capacity:64 () in
+  let c : string Memo.t = Memo.create ~shards:4 ~capacity:64 () in
   fill c (keys "k" 500);
-  Alcotest.(check int) "misses" 500 (Cache.misses c);
-  Alcotest.(check int) "evictions = misses - length" (Cache.misses c - Cache.length c)
-    (Cache.evictions c);
-  let stats = Cache.shard_stats c in
+  let total = Memo.stats c in
+  Alcotest.(check int) "misses" 500 total.misses;
+  Alcotest.(check int) "evictions = misses - length" (total.misses - total.entries)
+    total.evictions;
+  let stats = Memo.shard_stats c in
   Array.iteri
-    (fun i s ->
+    (fun i (s : Memo.stats) ->
       Alcotest.(check int)
         (Printf.sprintf "shard %d: evictions = misses - length" i)
-        (s.Cache.s_misses - s.Cache.s_length) s.Cache.s_evictions)
+        (s.misses - s.entries) s.evictions)
     stats;
-  Alcotest.(check int) "shard evictions sum to evictions" (Cache.evictions c)
-    (Array.fold_left (fun acc s -> acc + s.Cache.s_evictions) 0 stats);
-  Cache.clear c;
-  Alcotest.(check int) "clear resets evictions" 0 (Cache.evictions c);
+  Alcotest.(check int) "shard evictions sum to evictions" total.evictions
+    (Array.fold_left (fun acc (s : Memo.stats) -> acc + s.evictions) 0 stats);
+  Memo.clear c;
+  Alcotest.(check int) "clear counts what it drops as evictions" total.misses
+    (Memo.stats c).evictions;
   fill c (keys "k" 10);
-  Alcotest.(check int) "a cleared cache refills without evicting" 10 (Cache.length c)
+  Alcotest.(check int) "a cleared cache refills without evicting" 10 (Memo.stats c).entries;
+  Alcotest.(check int) "refill evicts nothing" total.misses (Memo.stats c).evictions
 
 (* Single-shard caches make the clock's victims predictable. *)
 let test_cache_second_chance () =
-  let c : string Cache.t = Cache.create ~shards:1 ~capacity:8 () in
+  let c : string Memo.t = Memo.create ~shards:1 ~capacity:8 () in
   let hit k =
-    snd (Cache.find_or_add c k (fun () -> Alcotest.failf "%s recomputed" k))
+    snd (Memo.find_or_add c k (fun () -> Alcotest.failf "%s recomputed" k))
   in
   fill c (keys "a" 8);
   Alcotest.(check bool) "a3 hit between sweeps" true (hit "a3");
   (* A second sweep of 7 new keys: the hand passes a3 once, clearing its
      bit, and evicts every other first-sweep key. *)
   fill c (keys "b" 7);
-  Alcotest.(check int) "full" 8 (Cache.length c);
+  Alcotest.(check int) "full" 8 (Memo.stats c).entries;
   Alcotest.(check bool) "a3 survives one clock pass" true (hit "a3");
-  let _, a0_hit = Cache.find_or_add c "a0" (fun () -> "a0") in
+  let _, a0_hit = Memo.find_or_add c "a0" (fun () -> "a0") in
   Alcotest.(check bool) "an unreferenced key was evicted" false a0_hit;
   (* Without another hit, a3's second chance is spent on the next pass. *)
-  let c : string Cache.t = Cache.create ~shards:1 ~capacity:8 () in
+  let c : string Memo.t = Memo.create ~shards:1 ~capacity:8 () in
   fill c (keys "a" 8);
   ignore (hit "a3");
   fill c (keys "b" 7);
   fill c (keys "c" 8);
-  let _, a3_hit = Cache.find_or_add c "a3" (fun () -> "a3") in
+  let _, a3_hit = Memo.find_or_add c "a3" (fun () -> "a3") in
   Alcotest.(check bool) "a3 evicted after a pass without hits" false a3_hit
+
+let test_cache_remove_if () =
+  (* Dropped entries count as evictions; the survivors keep their slots in
+     the clock, and the freed slots fill before anything is evicted. *)
+  let c : string Memo.t = Memo.create ~shards:1 ~capacity:8 () in
+  fill c (keys "a" 8);
+  ignore (Memo.find_or_add c "a1" (fun () -> Alcotest.fail "a1 recomputed"));
+  Memo.remove_if c (fun k -> int_of_string (String.sub k 1 1) mod 2 = 0);
+  let s = Memo.stats c in
+  Alcotest.(check (pair int int)) "4 held, 4 evicted" (4, 4) (s.entries, s.evictions);
+  fill c (keys "b" 4);
+  Alcotest.(check int) "freed slots refill without evicting" 4 (Memo.stats c).evictions;
+  fill c (keys "c" 1);
+  Alcotest.(check int) "a full ring evicts again" 5 (Memo.stats c).evictions;
+  let _, a1_hit = Memo.find_or_add c "a1" (fun () -> "a1") in
+  Alcotest.(check bool) "the referenced survivor had its second chance" true a1_hit
 
 let test_cache_remiss_bitwise () =
   (* A re-miss after eviction recomputes the bit-identical solve. *)
   let d = Lazy.force design in
-  let cache : Flow.solve Cache.t = Cache.create ~shards:1 ~capacity:1 () in
+  let cache : Flow.solve Memo.t = Memo.create ~shards:1 ~capacity:1 () in
   let cfg = Flow.Config.with_cache cache Flow.Config.default in
   let solve (net : Design.net) =
     Flow.solve_sized cfg ~tech:d.Design.tech ~net ~size:net.Design.size
@@ -396,8 +422,8 @@ let test_cache_remiss_bitwise () =
   let first = solve b0 in
   ignore (solve o0);
   let again = solve b0 in
-  Alcotest.(check int) "every solve missed" 3 (Cache.misses cache);
-  Alcotest.(check int) "two evictions" 2 (Cache.evictions cache);
+  Alcotest.(check int) "every solve missed" 3 (Memo.stats cache).misses;
+  Alcotest.(check int) "two evictions" 2 (Memo.stats cache).evictions;
   Alcotest.(check bool) "recomputed, not the evicted value" true (first != again);
   let bits = Int64.bits_of_float in
   Alcotest.(check bool) "bitwise-equal delay and slew" true
@@ -447,7 +473,7 @@ let test_flow_results () =
   Alcotest.(check bool) "positive delays" true (b0.Flow.solve.Flow.stage_delay > 0.);
   (* Handoff: o0's input slew derives from b0's far slew like Rlc_sta does. *)
   let expect =
-    Cache.quantize_slew
+    Flow.quantize_slew
       (Rlc_sta.Sta.handoff_slew ~far_slew:b0.Flow.solve.Flow.far_slew)
   in
   Alcotest.(check (float 1e-16)) "slew handoff" expect o0.Flow.input_slew;
@@ -576,16 +602,17 @@ let test_flow_bounded_cache_reports () =
       let reference = run ~jobs:1 d in
       List.iter
         (fun jobs ->
-          let cache : Flow.solve Cache.t = Cache.create ~capacity:16 () in
+          let cache : Flow.solve Memo.t = Memo.create ~capacity:16 () in
           let r = run ~jobs ~cache d in
           let ctx = Printf.sprintf "%s, capacity 16, jobs %d" name jobs in
           Alcotest.(check string) (ctx ^ ": json") (Report.json_string reference)
             (Report.json_string r);
           Alcotest.(check string) (ctx ^ ": csv") (Report.csv_string reference)
             (Report.csv_string r);
-          Alcotest.(check bool) (ctx ^ ": one entry per shard") true (Cache.length cache <= 16);
+          Alcotest.(check bool) (ctx ^ ": one entry per shard") true
+            ((Memo.stats cache).entries <= 16);
           if overflows then
-            Alcotest.(check bool) (ctx ^ ": evicted") true (Cache.evictions cache > 0);
+            Alcotest.(check bool) (ctx ^ ": evicted") true ((Memo.stats cache).evictions > 0);
           Alcotest.(check string) (ctx ^ ": default cache json") (Report.json_string reference)
             (Report.json_string (run ~jobs d)))
         [ 1; 2 ])
@@ -596,7 +623,7 @@ let test_flow_bounded_cache_reports () =
    load ([Flow]'s canonicalization) under the solve's model waveform. *)
 let test_flow_replay_far_oracle () =
   let d = Lazy.force bus8 in
-  let q = Cache.quantize ~digits:Flow.Config.default.Flow.Config.quantize_digits in
+  let q = Flow.quantize ~digits:Flow.Config.default.Flow.Config.quantize_digits in
   let bits = Int64.bits_of_float in
   List.iter
     (fun (mode, adaptive) ->
@@ -773,6 +800,7 @@ let () =
           Alcotest.test_case "bounded per shard" `Quick test_cache_bounded_shards;
           Alcotest.test_case "evictions reconcile" `Quick test_cache_evictions_reconcile;
           Alcotest.test_case "second chance" `Quick test_cache_second_chance;
+          Alcotest.test_case "remove_if" `Quick test_cache_remove_if;
           Alcotest.test_case "re-miss is bitwise equal" `Quick test_cache_remiss_bitwise;
         ] );
       ( "flow",

@@ -109,20 +109,74 @@ let test_fall_arc_differs () =
   let df = Table.delay c ~edge:Rlc_waveform.Measure.Falling ~slew:(Units.ps 100.) ~cap:(Units.ff 200.) in
   Alcotest.(check bool) "both arcs positive" true (dr > 0. && df > 0.)
 
+let memo_stats () =
+  let (Rlc_memo.Memo.View m) = Characterize.memo in
+  Rlc_memo.Memo.stats m
+
 let test_store_key_is_the_grid () =
   (* Two grids that differ only in their last cap hash alike
      ([Hashtbl.hash] stops after its first 10 meaningful values); their
-     stores must stay apart. *)
+     cells must stay apart. *)
   let g1 = Characterize.default_grid in
   let g2 = { g1 with Characterize.caps = Array.copy g1.Characterize.caps } in
   let last = Array.length g2.caps - 1 in
   g2.caps.(last) <- 2. *. g2.caps.(last);
   Alcotest.(check bool) "the grids hash alike" true
     (Hashtbl.hash (g1.slews, g1.caps) = Hashtbl.hash (g2.slews, g2.caps));
-  ignore (cell_exn ~grid:g1 tech ~size:75.);
-  Alcotest.(check (list (float 0.))) "g2 store untouched" [] (Characterize.sizes ~grid:g2 tech);
-  Alcotest.(check bool) "g1 store holds 75X" true
-    (List.mem 75. (Characterize.sizes ~grid:g1 tech))
+  let c1 = cell_exn ~grid:g1 tech ~size:75. in
+  let _, m0, _ = Characterize.stats () in
+  let c2 = cell_exn ~grid:g2 tech ~size:75. in
+  let _, m1, _ = Characterize.stats () in
+  Alcotest.(check int) "the g2 lookup missed" 1 (m1 - m0);
+  Alcotest.(check bool) "and returned a different table" true (c1 <> c2);
+  Alcotest.(check bool) "g1 still holds 75X" true (cell_exn ~grid:g1 tech ~size:75. == c1)
+
+let test_stats_monotone () =
+  (* [stats] keeps counting across [clear_cache]: the cells it drops are
+     evictions, and every store is a held or an evicted cell. *)
+  ignore (Lazy.force cell75);
+  let check_stores what =
+    let h, m, st = Characterize.stats () and s = memo_stats () in
+    Alcotest.(check int) (what ^ ": stores = entries + evictions") (s.entries + s.evictions) st;
+    Alcotest.(check (pair int int)) (what ^ ": hits, misses") (s.hits, s.misses) (h, m);
+    (h, m, st)
+  in
+  let h0, m0, st0 = check_stores "before clear" in
+  let held = (memo_stats ()).entries in
+  Alcotest.(check bool) "something held" true (held > 0);
+  Characterize.clear_cache ();
+  let h1, m1, st1 = check_stores "after clear" in
+  Alcotest.(check (list int)) "unchanged by clear" [ h0; m0; st0 ] [ h1; m1; st1 ];
+  Alcotest.(check int) "nothing held" 0 (memo_stats ()).entries;
+  ignore (cell_exn ~grid:small_grid tech ~size:75.);
+  let h2, m2, st2 = check_stores "after refill" in
+  Alcotest.(check (list int)) "one more miss and store" [ h1; m1 + 1; st1 + 1 ] [ h2; m2; st2 ]
+
+let test_two_domains_one_table () =
+  let _, _, st0 = Characterize.stats () in
+  let in_domain () = Domain.spawn (fun () -> cell_exn ~grid:small_grid tech ~size:33.) in
+  let d1 = in_domain () and d2 = in_domain () in
+  let c1 = Domain.join d1 and c2 = Domain.join d2 in
+  let _, _, st1 = Characterize.stats () in
+  Alcotest.(check bool) "both domains got the same table" true (c1 == c2);
+  Alcotest.(check int) "one table stored" 1 (st1 - st0)
+
+let test_memo_bounded_soak () =
+  (* More sizes than the memo holds: the held cells stay within the bound,
+     and a size evicted on the way is recharacterized to the same table. *)
+  let sizes = List.init (Characterize.capacity + 8) (fun k -> 50. +. (0.5 *. float_of_int k)) in
+  let first = cell_exn ~grid:small_grid tech ~size:(List.hd sizes) in
+  List.iter (fun size -> ignore (cell_exn ~grid:small_grid tech ~size)) (List.tl sizes);
+  let s = memo_stats () in
+  Alcotest.(check bool)
+    (Printf.sprintf "entries %d <= %d" s.entries Characterize.capacity)
+    true
+    (s.entries <= Characterize.capacity);
+  Alcotest.(check bool) "evicted" true (s.evictions > 0);
+  let again = cell_exn ~grid:small_grid tech ~size:(List.hd sizes) in
+  Alcotest.(check bool) "recharacterized" true (again != first);
+  Alcotest.(check bool) "to the same table" true (again = first);
+  Characterize.clear_cache ()
 
 let test_point_matches_full_window () =
   (* A characterization point ends its transient right after the last
@@ -352,9 +406,12 @@ let () =
           Alcotest.test_case "cache" `Quick test_cache_hit;
           Alcotest.test_case "fall arc" `Quick test_fall_arc_differs;
           Alcotest.test_case "store key is the grid" `Quick test_store_key_is_the_grid;
+          Alcotest.test_case "stats monotone across clear" `Quick test_stats_monotone;
+          Alcotest.test_case "two domains, one stored table" `Quick test_two_domains_one_table;
           Alcotest.test_case "point = full-window oracle (25X, 125X)" `Quick
             test_point_matches_full_window;
           q prop_lookup_inside_grid_is_bounded;
+          Alcotest.test_case "bounded memo soak" `Quick test_memo_bounded_soak;
         ] );
       ( "liberty",
         [

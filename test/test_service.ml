@@ -7,6 +7,7 @@ module Protocol = Rlc_service.Protocol
 module Session = Rlc_service.Session
 module Server = Rlc_service.Server
 module Error = Rlc_service.Error
+module Memo = Rlc_memo.Memo
 
 let ok_or_fail = function
   | Ok v -> v
@@ -212,6 +213,63 @@ let test_protocol_rejections () =
   check_code "bad_request"
     (Protocol.parse_request ~max_bytes:16 {|{"schema":"rlc-service/1","kind":"ping"}|})
 
+let test_protocol_non_finite () =
+  (* 1e999 lexes to infinity: every numeric field must answer a typed
+     bad_request naming the field, never reach the solvers. *)
+  let rejects base field value =
+    (* [base] is a list of (field, JSON text); [field] replaces its entry. *)
+    let members = (field, value) :: List.remove_assoc field base in
+    let line =
+      "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) members) ^ "}"
+    in
+    match parse_req line with
+    | Ok _ -> Alcotest.failf "%s = %s accepted" field value
+    | Error (Error.Bad_request msg) ->
+        let quoted = Printf.sprintf "%S" field in
+        let n = String.length quoted in
+        let rec mentions i =
+          i + n <= String.length msg && (String.sub msg i n = quoted || mentions (i + 1))
+        in
+        if not (mentions 0) then
+          Alcotest.failf "%s = %s: message %S does not name the field" field value msg
+    | Error e -> Alcotest.failf "%s = %s: %s, not bad_request" field value (Error.code e)
+  in
+  let flow = [ ("schema", {|"rlc-service/1"|}); ("kind", {|"flow"|}); ("spef", {|"x"|}) ] in
+  let case kind =
+    [
+      ("schema", {|"rlc-service/1"|});
+      ("kind", Printf.sprintf "%S" kind);
+      ("length_mm", "5");
+      ("width_um", "1");
+      ("size", "75");
+    ]
+  in
+  let delta = [ ("schema", {|"rlc-service/2"|}); ("kind", {|"flow_delta"|}); ("handle", {|"d0"|}) ] in
+  List.iter
+    (fun value ->
+      List.iter (fun f -> rejects flow f value) [ "size"; "slew_ps"; "required_ps"; "dt_ps" ];
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun f -> rejects (case kind) f value)
+            [ "length_mm"; "width_um"; "size"; "slew_ps"; "cl_ff"; "dt_ps" ])
+        [ "screen"; "sweep_case" ];
+      List.iter
+        (fun f -> rejects delta f (Printf.sprintf {|{"b0":%s}|} value))
+        [ "drivers"; "slews_ps" ])
+    [ "1e999"; "-1e999" ];
+  (* Through the server: the first reply names the request, not the engine. *)
+  Session.with_session (fun session ->
+      let server = Server.create ~timeout_s:0. session in
+      let resp =
+        json_of
+          (fst
+             (Server.handle_line server
+                {|{"schema":"rlc-service/1","kind":"screen","length_mm":5,"width_um":1,"size":1e999}|}))
+      in
+      Alcotest.(check (option string)) "screen size=1e999" (Some "bad_request")
+        (Json.get_string (member "code" (member "error" resp))))
+
 let test_protocol_responses () =
   let ok = Protocol.ok_response ~id:(Json.Int 3) [ ("pong", Json.Bool true) ] in
   let j = json_of ok in
@@ -296,8 +354,8 @@ let test_session_flow_and_cache () =
       Alcotest.(check int) "warm spends no iterations" 0
         (stats second).Rlc_flow.Flow.iterations_spent;
       Alcotest.(check string) "identical reports" first.Session.report second.Session.report;
-      let s = Session.stats session in
-      Alcotest.(check bool) "cache populated" true (s.Session.cache_entries > 0))
+      Alcotest.(check bool) "cache populated" true
+        ((Memo.stats (Session.cache session)).entries > 0))
 
 let test_session_ingest_errors () =
   with_default_session (fun session ->
@@ -1017,33 +1075,32 @@ let test_server_cache_soak () =
                      nets) );
             ]
       done;
-      let stats = Session.stats session in
+      let stats = Memo.stats (Session.cache session) in
       Alcotest.(check bool)
         (Printf.sprintf "more distinct edits (%d) than the cache holds" (4 * deltas))
         true
-        (4 * deltas > Rlc_flow.Cache.default_capacity);
+        (4 * deltas > Rlc_flow.Flow.cache_capacity);
       Alcotest.(check bool)
-        (Printf.sprintf "cache_entries %d <= %d" stats.Session.cache_entries
-           Rlc_flow.Cache.default_capacity)
+        (Printf.sprintf "cache_entries %d <= %d" stats.entries Rlc_flow.Flow.cache_capacity)
         true
-        (stats.Session.cache_entries <= Rlc_flow.Cache.default_capacity);
-      Alcotest.(check bool) "evictions > 0" true (stats.Session.cache_evictions > 0);
+        (stats.entries <= Rlc_flow.Flow.cache_capacity);
+      Alcotest.(check bool) "evictions > 0" true (stats.evictions > 0);
       let m = request [ ("schema", Json.Str Protocol.schema); ("kind", Json.Str "metrics") ] in
       let cache = member "cache" m in
       Alcotest.(check (option int)) "metrics cache.evictions"
-        (Some stats.Session.cache_evictions)
+        (Some stats.evictions)
         (Json.get_int (member "evictions" cache));
       (match member "shards" cache with
       | Json.List shards ->
           Alcotest.(check int) "shard evictions sum to cache.evictions"
-            stats.Session.cache_evictions
+            stats.evictions
             (List.fold_left
                (fun acc sh -> acc + Option.get (Json.get_int (member "evictions" sh)))
                0 shards)
       | _ -> Alcotest.fail "metrics cache.shards is not a list");
       let samples = validate_prometheus (Option.get (Json.get_string (member "prometheus" m))) in
       Alcotest.(check (float 0.)) "service_cache_evictions_total"
-        (float_of_int stats.Session.cache_evictions)
+        (float_of_int stats.evictions)
         (prom_sample samples "service_cache_evictions_total");
       (* The ground truth: the final slews written into the spec, timed by
          a cold v1 flow. *)
@@ -1230,6 +1287,7 @@ let () =
           Alcotest.test_case "kinds" `Quick test_protocol_kinds;
           Alcotest.test_case "v2 kinds" `Quick test_protocol_v2_kinds;
           Alcotest.test_case "rejections" `Quick test_protocol_rejections;
+          Alcotest.test_case "non-finite numbers" `Quick test_protocol_non_finite;
           Alcotest.test_case "responses" `Quick test_protocol_responses;
         ] );
       ( "errors",
